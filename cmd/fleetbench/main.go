@@ -12,9 +12,8 @@
 //     (one uncontrolled simulated run), replan (view build + policy plan +
 //     actuation against a live engine, plan reuse disabled so the row keeps
 //     measuring a full plan), replan-elided (the fingerprint-stable fast
-//     path), plan-cache/hit (snapshot + canonical key + memo copy-out when
-//     elision is defeated but the state recurs) and policy-plan per
-//     registered policy — each reporting ns/op, B/op and allocs/op.
+//     path) and policy-plan per registered policy — each reporting ns/op,
+//     B/op and allocs/op.
 //
 // Profile the timed sweep with -cpuprofile/-memprofile: the capture window
 // covers exactly the fleet sweep the check gate holds, so a hot-path hunt
@@ -91,15 +90,11 @@ type FleetNumbers struct {
 	P50WallMs       float64  `json:"p50WallMs"`
 	P95WallMs       float64  `json:"p95WallMs"`
 	MaxWallMs       float64  `json:"maxWallMs"`
-	// Plan-reuse counters from the pooled sweep. PlansTotal and
-	// PlansElided are per-scenario properties and thus deterministic for a
-	// seed; cache hits/misses depend on which scenarios each worker's
-	// shared cache saw, so they vary with work-stealing order. All four
-	// are informational — the check gate never reads them.
-	PlansTotal      int `json:"plansTotal,omitempty"`
-	PlansElided     int `json:"plansElided,omitempty"`
-	PlanCacheHits   int `json:"planCacheHits,omitempty"`
-	PlanCacheMisses int `json:"planCacheMisses,omitempty"`
+	// Plan-reuse counters from the pooled sweep. Both are per-scenario
+	// properties and thus deterministic for a seed; they are
+	// informational — the check gate never reads them.
+	PlansTotal  int `json:"plansTotal,omitempty"`
+	PlansElided int `json:"plansElided,omitempty"`
 }
 
 // Numbers is one complete measurement set.
@@ -255,7 +250,6 @@ func main() {
 	cur.Benchmarks["engine-new"] = record("engine-new", benchEngineNew)
 	cur.Benchmarks["replan"] = record("replan", benchReplan)
 	cur.Benchmarks["replan-elided"] = record("replan-elided", benchReplanElided)
-	cur.Benchmarks["plan-cache/hit"] = record("plan-cache/hit", benchPlanCacheHit)
 	for _, p := range pols {
 		cur.Benchmarks["policy-plan/"+p] = record("policy-plan/"+p, benchPolicyPlan(p))
 	}
@@ -386,17 +380,14 @@ func sweep(seed uint64, scenarios, workers int, pols []string) (FleetNumbers, er
 		ScenariosPerSec: float64(len(scens)) / total.Seconds(),
 	}
 	if n := len(ms); n > 0 {
-		fn.P50WallMs = ms[(n-1)/2]
-		fn.P95WallMs = ms[min(n-1, int(float64(n)*0.95+0.5)-1)]
+		fn.P50WallMs = fleet.PercentileSorted(ms, 0.50)
+		fn.P95WallMs = fleet.PercentileSorted(ms, 0.95)
 		fn.MaxWallMs = ms[n-1]
 	}
-	ps := runner.PlanCacheStats()
+	ps := runner.PlanStats()
 	fn.PlansTotal = ps.Plans
 	fn.PlansElided = ps.Elided
-	fn.PlanCacheHits = ps.CacheHits
-	fn.PlanCacheMisses = ps.CacheMisses
-	fmt.Fprintf(os.Stderr, "fleetbench: plan reuse: %d plans, %d elided, %d cache hits, %d misses\n",
-		ps.Plans, ps.Elided, ps.CacheHits, ps.CacheMisses)
+	fmt.Fprintf(os.Stderr, "fleetbench: plan reuse: %d plans, %d elided\n", ps.Plans, ps.Elided)
 	return fn, nil
 }
 
@@ -521,24 +512,6 @@ func benchReplanElided(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mgr.Replan(e)
-	}
-}
-
-// benchPlanCacheHit measures the memo-hit path: re-setting an identical
-// requirement bumps the manager's requirement version, which defeats
-// elision, but the canonical plan key is unchanged — so each iteration
-// pays view build + key build + cached-plan copy-out + actuation, skipping
-// only the policy's planning work.
-func benchPlanCacheHit(b *testing.B) {
-	mgr, e := benchManagedEngine(b)
-	req := rtm.Requirement{Priority: 1}
-	mgr.SetRequirement("dnn3", req)
-	mgr.Replan(e) // prime the cache entry
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mgr.SetRequirement("dnn3", req)
 		mgr.Replan(e)
 	}
 }

@@ -105,16 +105,15 @@ func TestHistoryEntry(t *testing.T) {
 		Note:      "plan reuse",
 		Fleet:     FleetNumbers{ScenariosPerSec: 640},
 		Benchmarks: map[string]BenchNumbers{
-			"replan":         {NsPerOp: 1000, AllocsPerOp: 23},
-			"replan-elided":  {NsPerOp: 10, AllocsPerOp: 0},
-			"plan-cache/hit": {NsPerOp: 400, AllocsPerOp: 4},
+			"replan":        {NsPerOp: 1000, AllocsPerOp: 23},
+			"replan-elided": {NsPerOp: 10, AllocsPerOp: 0},
 		},
 	}
 	h := historyEntry(n)
 	if h.Timestamp != n.Timestamp || h.Note != n.Note || h.ScenariosPerSec != 640 {
 		t.Fatalf("header fields mangled: %+v", h)
 	}
-	if len(h.Allocs) != 3 || h.Allocs["replan"] != 23 || h.Allocs["replan-elided"] != 0 {
+	if len(h.Allocs) != 2 || h.Allocs["replan"] != 23 || h.Allocs["replan-elided"] != 0 {
 		t.Fatalf("allocs map mangled: %+v", h.Allocs)
 	}
 }

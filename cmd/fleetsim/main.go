@@ -66,12 +66,11 @@
 // the worst per-scenario p95 and is marked approximate (p95Approx in
 // JSON, a ~ suffix in tables).
 //
-// Planning work is reused by default: managers elide replans whose
-// planning fingerprint has not changed and memoise plans in a per-worker
-// cache keyed by the canonical planning view. The report is byte-identical
-// either way — -plancache=false plans every replan fresh (CI cmp-checks
-// the two against each other), and -cachestats prints the plans / elided /
-// cache hit/miss counters to stderr after the run.
+// Planning work is reused by default: managers elide a replan when its
+// planning fingerprint has not changed since the last plan took effect.
+// The report is byte-identical either way — -plancache=false plans every
+// replan fresh (CI cmp-checks the two against each other), and
+// -cachestats prints the plans / elided counters to stderr after the run.
 //
 // Usage:
 //
@@ -146,8 +145,8 @@ func runMain() {
 	stream := flag.Bool("stream", false, "with -shard: append each completed scenario to -out as a flushed NDJSON record (crash-resumable; mergeable once complete)")
 	resume := flag.Bool("resume", false, "with -shard: resume an interrupted stream at -out from its last flushed scenario (implies -stream)")
 	syncevery := flag.Int("syncevery", 0, "with -stream/-resume: fsync the stream file every N records (0 = never; per-record flushes already survive process death, fsync adds power-loss durability)")
-	plancache := flag.Bool("plancache", true, "reuse planning work (replan elision + per-worker plan memo cache); false plans every replan fresh — the report is byte-identical either way")
-	cachestats := flag.Bool("cachestats", false, "print plan-reuse counters (plans, elided, cache hits/misses) to stderr after the run")
+	plancache := flag.Bool("plancache", true, "elide replans whose planning state has not changed; false plans every replan fresh — the report is byte-identical either way")
+	cachestats := flag.Bool("cachestats", false, "print plan-reuse counters (plans, elided) to stderr after the run")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		// Stray positional args mean a mistyped invocation; running the
@@ -185,6 +184,11 @@ func runMain() {
 	if err != nil {
 		log.Fatalf("fleetsim: %v", err)
 	}
+	runner := &fleet.Runner{Workers: *workers, DropLatencies: *nolat, SyncEvery: *syncevery, DisablePlanCache: !*plancache}
+	if *progress {
+		runner.Progress = progressFunc()
+	}
+	defer maybePrintPlanStats(*cachestats, runner)
 
 	if *stream || *resume {
 		if shardCount == 0 {
@@ -203,14 +207,9 @@ func runMain() {
 				log.Fatalf("fleetsim: %s already exists; pass -resume to continue it", *out)
 			}
 		}
-		runner := &fleet.Runner{Workers: *workers, DropLatencies: *nolat, SyncEvery: *syncevery, DisablePlanCache: !*plancache}
-		if *progress {
-			runner.Progress = progressFunc()
-		}
 		if _, err := runner.ResumeShard(*out, cfg, *scenarios, shardIdx, shardCount); err != nil {
 			log.Fatalf("fleetsim: %v", err)
 		}
-		maybePrintCacheStats(*cachestats, runner)
 		return
 	}
 
@@ -220,15 +219,10 @@ func runMain() {
 		if *format != "json" || *results {
 			log.Fatalf("fleetsim: -format/-results have no effect with -shard; use them on \"fleetsim merge\"")
 		}
-		runner := &fleet.Runner{Workers: *workers, DropLatencies: *nolat, DisablePlanCache: !*plancache}
-		if *progress {
-			runner.Progress = progressFunc()
-		}
 		res, err := runner.RunShard(cfg, *scenarios, shardIdx, shardCount)
 		if err != nil {
 			log.Fatalf("fleetsim: %v", err)
 		}
-		maybePrintCacheStats(*cachestats, runner)
 		if *out != "" {
 			// Via the path-aware writer so "-out shard.json.gz" compresses.
 			if err := fleet.WriteShardFile(*out, res); err != nil {
@@ -240,13 +234,7 @@ func runMain() {
 		return
 	}
 
-	scens := gen.Generate(gen.RunCount(*scenarios))
-	runner := &fleet.Runner{Workers: *workers, DropLatencies: *nolat, DisablePlanCache: !*plancache}
-	if *progress {
-		runner.Progress = progressFunc()
-	}
-	res := runner.Run(scens)
-	maybePrintCacheStats(*cachestats, runner)
+	res := runner.Run(gen.Generate(gen.RunCount(*scenarios)))
 	rep := fleet.Aggregate(*seed, res)
 	if !*results {
 		res = nil
@@ -442,18 +430,16 @@ func parseShard(s string) (index, count int, err error) {
 	return i - 1, m, nil
 }
 
-// maybePrintCacheStats prints the runner's accumulated plan-reuse
-// counters to stderr when -cachestats is set. Stderr, not the report:
-// how work split between elision, cache hits and fresh plans depends on
-// how scenarios landed on workers, so the counters must never enter the
-// byte-compared report stream.
-func maybePrintCacheStats(enabled bool, r *fleet.Runner) {
+// maybePrintPlanStats prints the runner's accumulated plan-reuse counters
+// to stderr when -cachestats is set. Stderr, not the report: the elided
+// count differs between -plancache=true and false, and the report bytes
+// must not.
+func maybePrintPlanStats(enabled bool, r *fleet.Runner) {
 	if !enabled {
 		return
 	}
-	s := r.PlanCacheStats()
-	fmt.Fprintf(os.Stderr, "fleetsim: plans=%d elided=%d cacheHits=%d cacheMisses=%d\n",
-		s.Plans, s.Elided, s.CacheHits, s.CacheMisses)
+	s := r.PlanStats()
+	fmt.Fprintf(os.Stderr, "fleetsim: plans=%d elided=%d\n", s.Plans, s.Elided)
 }
 
 func progressFunc() func(done, total int) {

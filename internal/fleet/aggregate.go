@@ -194,7 +194,7 @@ func (g *group) finalise() GroupStats {
 		// every order statistic (p95 today, any quantile tomorrow) —
 		// percentile() would copy and re-sort per call.
 		sort.Float64s(g.latencies)
-		s.P95LatencyS = percentileSorted(g.latencies, 0.95)
+		s.P95LatencyS = PercentileSorted(g.latencies, 0.95)
 	}
 	if g.scalarP95 > s.P95LatencyS {
 		s.P95LatencyS = g.scalarP95

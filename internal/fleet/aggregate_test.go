@@ -121,8 +121,8 @@ func TestPercentileSortedMatchesPercentile(t *testing.T) {
 		sort.Float64s(sorted)
 		for _, p := range quantiles {
 			want := percentile(samples, p)
-			if got := percentileSorted(sorted, p); got != want {
-				t.Errorf("%s: percentileSorted(p=%g) = %g, want %g (percentile reference)",
+			if got := PercentileSorted(sorted, p); got != want {
+				t.Errorf("%s: PercentileSorted(p=%g) = %g, want %g (percentile reference)",
 					name, p, got, want)
 			}
 		}

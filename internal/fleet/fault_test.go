@@ -117,8 +117,8 @@ func TestFaultyRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Plan reuse (elision + memo cache) is invisible under faults: a faulty
-// fleet with reuse disabled matches the cache-on run byte for byte.
+// Replan elision is invisible under faults: a faulty fleet with reuse
+// disabled matches the reuse-on run byte for byte.
 func TestFaultyPlanCacheEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a faulty fleet three times")
@@ -146,7 +146,7 @@ func TestFaultyPlanCacheEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: faulty plan-cache results differ from no-reuse results", workers)
+			t.Errorf("workers=%d: faulty elision results differ from no-reuse results", workers)
 		}
 	}
 }

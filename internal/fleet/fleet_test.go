@@ -224,7 +224,7 @@ func TestResolvePolicies(t *testing.T) {
 
 // percentile returns the p-quantile (nearest-rank) of the samples. It is
 // test-only scaffolding: the production runner sorts once and reads every
-// order statistic through percentileSorted, and this reference wrapper
+// order statistic through PercentileSorted, and this reference wrapper
 // exists so tests can express expectations over unsorted sample sets.
 func percentile(samples []float64, p float64) float64 {
 	if len(samples) == 0 {
@@ -232,7 +232,7 @@ func percentile(samples []float64, p float64) float64 {
 	}
 	s := append([]float64(nil), samples...)
 	sort.Float64s(s)
-	return percentileSorted(s, p)
+	return PercentileSorted(s, p)
 }
 
 // TestPercentile pins the nearest-rank convention.

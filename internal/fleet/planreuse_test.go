@@ -1,0 +1,52 @@
+package fleet
+
+import (
+	"encoding/json"
+	"testing"
+)
+
+// TestPlanCacheEquivalence is the correctness property of replan elision
+// at the fleet layer: a Runner whose managers elide fingerprint-stable
+// replans must produce results byte-identical to a Runner with
+// DisablePlanCache — at workers 1 and 8, across a mix of platforms,
+// classes (hardware faults included) and policies. The reuse-on arm must
+// also demonstrably elide work, or the test is vacuous.
+func TestPlanCacheEquivalence(t *testing.T) {
+	cfg := GeneratorConfig{
+		Seed:     41,
+		Classes:  []Class{ClassSteady, ClassBursty, ClassThermal, ClassFaulty},
+		Policies: []string{"heuristic", "minenergy", "maxaccuracy"},
+	}
+	gen, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scens := gen.Generate(gen.RunCount(20))
+
+	off := &Runner{Workers: 1, DisablePlanCache: true}
+	want, err := json.Marshal(off.Run(scens))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := off.PlanStats(); s.Elided != 0 {
+		t.Fatalf("DisablePlanCache runner reused planning work: %+v", s)
+	}
+
+	for _, workers := range []int{1, 8} {
+		r := &Runner{Workers: workers}
+		got, err := json.Marshal(r.Run(scens))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("workers=%d: elision results differ from no-reuse results", workers)
+		}
+		s := r.PlanStats()
+		if s.Plans == 0 {
+			t.Fatalf("workers=%d: no plans recorded", workers)
+		}
+		if s.Elided == 0 {
+			t.Errorf("workers=%d: reuse-on run elided nothing: %+v", workers, s)
+		}
+	}
+}

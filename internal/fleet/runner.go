@@ -96,14 +96,12 @@ func RunOne(s Scenario) Result {
 
 // runOpts bundles the per-run knobs runOne threads through to
 // workload.RunEngineOpts: whether raw Latencies are published, which
-// engine to Reset instead of constructing, which plan cache the manager
-// uses, and whether plan reuse is disabled outright. None of them change
-// a result byte — TestEngineReuseEquivalence and
-// TestPlanCacheEquivalence pin that.
+// engine to Reset instead of constructing, and whether replan elision is
+// disabled. None of them change a result byte — TestEngineReuseEquivalence
+// and TestPlanCacheEquivalence pin that.
 type runOpts struct {
 	keepLatencies bool
 	eng           *sim.Engine
-	planCache     *rtm.PlanCache
 	noPlanReuse   bool
 }
 
@@ -141,7 +139,6 @@ func runOne(s Scenario, o runOpts) (Result, *sim.Engine, rtm.PlanStats) {
 		return res, o.eng, rtm.PlanStats{}
 	}
 	eng, mgr, rep, err := workload.RunEngineOpts(o.eng, script, plat, TickS, nil, workload.RunOptions{
-		PlanCache:        o.planCache,
 		DisablePlanReuse: o.noPlanReuse,
 	})
 	if err != nil {
@@ -197,7 +194,7 @@ func runOne(s Scenario, o runOpts) (Result, *sim.Engine, rtm.PlanStats) {
 		sc.sorted = sorted
 		sort.Float64s(sorted)
 		res.MeanLatencyS = sum / float64(len(raw))
-		res.P95LatencyS = percentileSorted(sorted, 0.95)
+		res.P95LatencyS = PercentileSorted(sorted, 0.95)
 		res.MaxLatencyS = sorted[len(sorted)-1]
 	}
 	if o.keepLatencies && len(raw) > 0 {
@@ -209,7 +206,7 @@ func runOne(s Scenario, o runOpts) (Result, *sim.Engine, rtm.PlanStats) {
 	return res, eng, mgr.PlanStats()
 }
 
-// percentileSorted returns the p-quantile (true nearest-rank, rank =
+// PercentileSorted returns the p-quantile (true nearest-rank, rank =
 // ceil(n·p), 1-based, clamped to [1, n]) of samples that are already sorted
 // ascending — percentile without the per-quantile copy and sort, so
 // p50/p95/max reads off one sorted slice share a single sort.
@@ -219,7 +216,7 @@ func runOne(s Scenario, o runOpts) (Result, *sim.Engine, rtm.PlanStats) {
 // round-half-up rank this replaced (int(n·p+0.5)) under-selected whenever
 // n·p had a fractional part below one half — e.g. n=10, p=0.91 gave rank 9
 // where nearest-rank requires ⌈9.1⌉ = 10.
-func percentileSorted(sorted []float64, p float64) float64 {
+func PercentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
@@ -274,11 +271,11 @@ type Runner struct {
 	// same prefix-complete order a sequential run would produce. Calls are
 	// serialized but may arrive from any worker goroutine.
 	OnResult func(index int, r Result)
-	// DisablePlanCache turns off replan elision and plan memoisation in
-	// every scenario's manager (the fleetsim -plancache=false switch).
-	// Results are byte-identical either way — the switch exists so CI can
-	// prove exactly that, and so regressions can be bisected against the
-	// reuse-free path.
+	// DisablePlanCache turns off replan elision in every scenario's
+	// manager (the fleetsim -plancache=false switch), so every replan
+	// plans fresh. Results are byte-identical either way — the switch
+	// exists so CI can prove exactly that, and so regressions can be
+	// bisected against the reuse-free path.
 	DisablePlanCache bool
 
 	// planStats accumulates every run's plan-reuse counters across this
@@ -296,11 +293,11 @@ type planStatsAccum struct {
 	s  rtm.PlanStats
 }
 
-// PlanCacheStats reports the accumulated plan-reuse counters of every
-// scenario this Runner has executed. The totals are observability only:
-// how work splits between elision, cache hits and fresh plans depends on
-// how scenarios landed on workers, so these numbers never enter reports.
-func (r *Runner) PlanCacheStats() rtm.PlanStats {
+// PlanStats reports the accumulated plan-reuse counters (plans and
+// elided plans) of every scenario this Runner has executed. Elision is
+// decided per scenario, so the totals do not depend on the worker count;
+// they stay observability only and never enter reports.
+func (r *Runner) PlanStats() rtm.PlanStats {
 	if r.planStats == nil {
 		return rtm.PlanStats{}
 	}
@@ -308,6 +305,9 @@ func (r *Runner) PlanCacheStats() rtm.PlanStats {
 	defer r.planStats.mu.Unlock()
 	return r.planStats.s
 }
+
+// Deprecated: use PlanStats; the plan memo cache was removed.
+func (r *Runner) PlanCacheStats() rtm.PlanStats { return r.PlanStats() }
 
 // addPlanStats folds one worker's accumulated counters into the runner's.
 func (r *Runner) addPlanStats(s rtm.PlanStats) {
@@ -323,16 +323,6 @@ func (r *Runner) ensurePlanStats() {
 	if r.planStats == nil {
 		r.planStats = &planStatsAccum{}
 	}
-}
-
-// workerPlanCache builds the per-worker plan memo cache — one cache per
-// scenario stream, shared across that worker's runs so recurring planning
-// states hit across scenario boundaries — or nil when reuse is disabled.
-func (r *Runner) workerPlanCache() *rtm.PlanCache {
-	if r.DisablePlanCache {
-		return nil
-	}
-	return rtm.NewPlanCache(rtm.DefaultPlanCacheCap)
 }
 
 // Run executes all scenarios and returns results indexed by scenario
@@ -352,11 +342,7 @@ func (r *Runner) Run(scenarios []Scenario) []Result {
 		workers = len(scenarios)
 	}
 	if workers <= 1 {
-		o := runOpts{
-			keepLatencies: !r.DropLatencies,
-			planCache:     r.workerPlanCache(),
-			noPlanReuse:   r.DisablePlanCache,
-		}
+		o := runOpts{keepLatencies: !r.DropLatencies, noPlanReuse: r.DisablePlanCache}
 		var stats rtm.PlanStats
 		for i, s := range scenarios {
 			var ps rtm.PlanStats
@@ -393,11 +379,7 @@ func (r *Runner) Run(scenarios []Scenario) []Result {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			o := runOpts{
-				keepLatencies: !r.DropLatencies,
-				planCache:     r.workerPlanCache(),
-				noPlanReuse:   r.DisablePlanCache,
-			}
+			o := runOpts{keepLatencies: !r.DropLatencies, noPlanReuse: r.DisablePlanCache}
 			var stats rtm.PlanStats
 			defer func() { r.addPlanStats(stats) }()
 			for {

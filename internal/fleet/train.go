@@ -316,9 +316,9 @@ func (r *trainRun) errContext() string {
 // (a stateful third-party arm must never be shared across worker
 // goroutines). The worker's engine threads through exactly as in
 // Runner.Run (returned nil after a failed run). The recording policy is
-// outside both reuse tiers by construction — it cannot implement the
-// sealed rtm seams — so every training run plans fresh and its visit
-// trace stays complete.
+// outside replan elision by construction — it cannot implement the sealed
+// rtm seam — so every training run plans fresh and its visit trace stays
+// complete.
 func trainOne(cfg TrainConfig, s Scenario, pick func(key string) int, eng *sim.Engine) (trainRun, *sim.Engine) {
 	rec := &recordingPolicy{arms: make([]rtm.Policy, len(cfg.Arms)), pick: pick}
 	for i, name := range cfg.Arms {

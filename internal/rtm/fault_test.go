@@ -1,7 +1,6 @@
 package rtm
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -112,36 +111,6 @@ func TestDegradedPin(t *testing.T) {
 	big.ModelBytes = 64 << 20 // level-1 slice larger than any freed memory
 	if ci := degradedPin(st2, big); ci != -1 {
 		t.Fatalf("degradedPin = %d with no seats, want -1", ci)
-	}
-}
-
-// The memo-cache key must separate planning states that differ only in
-// cluster availability: a plan computed on healthy hardware is not valid
-// once a cluster is gone, and vice versa.
-func TestPlanKeyIncludesAvailability(t *testing.T) {
-	mgr := NewManager(map[string]Requirement{"d": {MaxLatencyS: 0.060, Priority: 1}})
-	e, err := sim.New(sim.Config{
-		Platform:   hw.OdroidXU3(),
-		Apps:       []sim.App{dnn("d", "a15", 4, 0.060)},
-		Controller: mgr,
-		TickS:      0.25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(2); err != nil {
-		t.Fatal(err)
-	}
-	v := mgr.buildView(e)
-	ck := mgr.policy.(cacheKeyed)
-	healthy := fmt.Sprintf("%x", mgr.buildPlanKey(&v, ck.planCacheID(), ck))
-	v.Clusters[0].Online = false
-	if got := fmt.Sprintf("%x", mgr.buildPlanKey(&v, ck.planCacheID(), ck)); got == healthy {
-		t.Error("availability change did not change the plan key")
-	}
-	v.Clusters[0].Online = true
-	if got := fmt.Sprintf("%x", mgr.buildPlanKey(&v, ck.planCacheID(), ck)); got != healthy {
-		t.Error("availability round-trip changed the plan key")
 	}
 }
 

@@ -25,9 +25,6 @@ import "github.com/emlrtm/emlrtm/internal/sim"
 // minEnergyPolicy, which races).
 type heuristicPolicy struct{ epochKeyed }
 
-// planCacheID implements cacheKeyed.
-func (heuristicPolicy) planCacheID() string { return "heuristic" }
-
 // Name implements Policy.
 func (heuristicPolicy) Name() string { return "heuristic" }
 

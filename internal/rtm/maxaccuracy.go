@@ -12,9 +12,6 @@ import "github.com/emlrtm/emlrtm/internal/sim"
 // power budget still bind — the policy is aggressive, not unsafe.
 type maxAccuracyPolicy struct{ epochKeyed }
 
-// planCacheID implements cacheKeyed.
-func (maxAccuracyPolicy) planCacheID() string { return "maxaccuracy" }
-
 // Name implements Policy.
 func (maxAccuracyPolicy) Name() string { return "maxaccuracy" }
 

@@ -12,9 +12,6 @@ import "github.com/emlrtm/emlrtm/internal/sim"
 // sweep puts pacing and racing side by side on identical workloads.
 type minEnergyPolicy struct{ epochKeyed }
 
-// planCacheID implements cacheKeyed.
-func (minEnergyPolicy) planCacheID() string { return "minenergy" }
-
 // Name implements Policy.
 func (minEnergyPolicy) Name() string { return "minenergy" }
 

@@ -334,8 +334,8 @@ func (e *Engine) SetOPP(cluster string, idx int) error {
 // the work is lost, not migrated — and leaves resident apps unhosted until
 // a controller replans them; bringing it back makes it plannable again.
 // Both transitions advance the planning epoch and invalidate the derived
-// caches, so replan elision and plan memoisation can never serve a plan
-// computed against a different availability set.
+// caches, so replan elision can never keep a plan computed against a
+// different availability set.
 func (e *Engine) SetClusterOnline(cluster string, online bool) error {
 	cs, ok := e.clusters[cluster]
 	if !ok {

@@ -211,17 +211,11 @@ func Run(s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any)
 }
 
 // RunOptions carries plan-reuse wiring for RunEngineOpts. The zero value
-// is the default behaviour: the manager lazily owns its own plan cache
-// and both reuse tiers are active.
+// is the default behaviour: replan elision is active.
 type RunOptions struct {
-	// PlanCache, when non-nil, is installed as the manager's plan memo
-	// cache. A fleet worker passes one cache for its whole scenario
-	// stream so recurring planning states hit across scenarios, not just
-	// within one.
-	PlanCache *rtm.PlanCache
-	// DisablePlanReuse turns off replan elision and plan memoisation
-	// (rtm.Manager.NoPlanReuse) — the reuse-off arm of equivalence tests
-	// and the fleetsim -plancache=false switch.
+	// DisablePlanReuse turns off replan elision (rtm.Manager.NoPlanReuse)
+	// — the reuse-off arm of equivalence tests and the fleetsim
+	// -plancache=false switch.
 	DisablePlanReuse bool
 }
 
@@ -255,9 +249,6 @@ func RunEngineOpts(e *sim.Engine, s Scenario, plat *hw.Platform, tickS float64, 
 	mgr.SetPolicy(pol)
 	mgr.Logf = logf
 	mgr.NoPlanReuse = opts.DisablePlanReuse
-	if opts.PlanCache != nil {
-		mgr.SetPlanCache(opts.PlanCache)
-	}
 	actions := s.Actions
 	if len(s.Faults) > 0 {
 		// Fault windows become ordinary scripted actions so they share the
