@@ -74,17 +74,12 @@ type Result struct {
 // comparable across scenarios.
 const TickS = 0.25
 
-// latBufs is one worker's reusable latency scratch: raw collects samples
-// in event order, sorted is the one sorted copy every percentile reads
-// from. Pooled because a fleet run executes thousands of scenarios per
-// worker and the per-scenario copies were the runner's dominant
-// allocation; the published Result only ever gets an exact-size copy.
-type latBufs struct {
-	raw    []float64
-	sorted []float64
-}
-
-var latPool = sync.Pool{New: func() any { return new(latBufs) }}
+// sortedPool holds reusable scratch for the one sorted copy of a run's
+// latencies that every percentile reads from. Pooled because a fleet run
+// executes thousands of scenarios per worker and the per-scenario copies
+// were the runner's dominant allocation; the published Result only ever
+// gets an exact-size copy.
+var sortedPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // RunOne executes a single scenario to completion. It is a pure function
 // of the scenario (fresh platform, fresh manager, no logging), which is
@@ -175,31 +170,28 @@ func runOne(s Scenario, o runOpts) (Result, *sim.Engine, rtm.PlanStats) {
 		res.Missed += a.Missed
 		res.Dropped += a.Dropped
 	}
-	sc := latPool.Get().(*latBufs)
-	defer latPool.Put(sc)
-	raw := sc.raw[:0]
-	for _, ev := range rep.Events {
-		if ev.Kind == sim.EvJobComplete || ev.Kind == sim.EvDeadlineMiss {
-			raw = append(raw, ev.LatencyS)
-		}
-	}
-	sc.raw = raw
+	// The engine collects latencies in completion order whether or not it
+	// keeps an event log, so the fleet run leaves the log off.
+	raw := rep.Latencies
 	var sum float64
 	for _, l := range raw {
 		sum += l
 	}
 	if len(raw) > 0 {
 		// One sorted copy serves every order statistic.
-		sorted := append(sc.sorted[:0], raw...)
-		sc.sorted = sorted
+		buf := sortedPool.Get().(*[]float64)
+		sorted := append((*buf)[:0], raw...)
 		sort.Float64s(sorted)
 		res.MeanLatencyS = sum / float64(len(raw))
 		res.P95LatencyS = PercentileSorted(sorted, 0.95)
 		res.MaxLatencyS = sorted[len(sorted)-1]
+		*buf = sorted
+		sortedPool.Put(buf)
 	}
 	if o.keepLatencies && len(raw) > 0 {
-		// Publish an exact-size copy in event order: the pooled buffer
-		// never escapes, and append-growth slack never reaches the Result.
+		// Publish an exact-size copy in completion order: the engine's
+		// buffer is rewritten by the worker's next Reset, and append-growth
+		// slack never reaches the Result.
 		res.Latencies = make([]float64, len(raw))
 		copy(res.Latencies, raw)
 	}

@@ -244,7 +244,7 @@ func (m *Manager) OnEvent(e *sim.Engine, ev sim.Event) {
 		m.Replan(e)
 	case sim.EvThermalAlarm:
 		m.pressure++
-		m.logf("rtm: t=%.2fs thermal alarm (%s), pressure=%d", ev.TimeS, ev.Note, m.pressure)
+		m.logf("rtm: t=%.2fs thermal alarm (%.1fC), pressure=%d", ev.TimeS, e.Temperature(), m.pressure)
 		m.Replan(e)
 	case sim.EvDeadlineMiss, sim.EvFrameDrop:
 		m.misses++

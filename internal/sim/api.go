@@ -322,7 +322,7 @@ func (e *Engine) SetOPP(cluster string, idx int) error {
 		return nil
 	}
 	cs.oppIdx = idx
-	e.stateVer++
+	e.dirtyAll()
 	e.planEpoch++
 	e.oppSwitches++
 	e.refresh()
@@ -361,7 +361,7 @@ func (e *Engine) SetClusterOnline(cluster string, online bool) error {
 			}
 		}
 	}
-	e.stateVer++
+	e.dirtyAll()
 	e.planEpoch++
 	e.emit(Event{TimeS: e.now, Kind: kind, Cluster: cluster})
 	e.refresh()
@@ -435,7 +435,7 @@ func (e *Engine) Migrate(app string, to Placement) error {
 			e.maxBlockedUntil = a.blockedUntil
 		}
 	}
-	e.stateVer++
+	e.dirtyAll()
 	e.planEpoch++
 	e.migrations++
 	if e.logEvents {
@@ -483,6 +483,11 @@ type Report struct {
 	Apps     []AppInfo
 	Clusters []ClusterReport
 	Events   []Event // only when LogEvents was set
+	// Latencies holds every completed job's release-to-completion latency
+	// in completion order — the LatencyS of the EvJobComplete and
+	// EvDeadlineMiss events — whether or not the log was retained. Like
+	// Events it aliases the engine's buffer, which Reset rewrites.
+	Latencies []float64
 }
 
 // Report summarises the run so far.
@@ -505,8 +510,9 @@ func (e *Engine) Report() Report {
 		DegradedMissed:    e.degMissed,
 		DegradedDropped:   e.degDropped,
 
-		Apps:   e.Apps(),
-		Events: e.eventLog,
+		Apps:      e.Apps(),
+		Events:    e.eventLog,
+		Latencies: e.latencies,
 	}
 	for _, a := range e.appList {
 		r.JobsAborted += a.aborted

@@ -101,3 +101,36 @@ func TestEngineRunReuseAllocs(t *testing.T) {
 		t.Fatalf("steady-state Reset+Run costs %.1f allocs/run, budget is 10", avg)
 	}
 }
+
+// TestControlledRunReuseAllocs is TestEngineRunReuseAllocs with a no-op
+// controller in the loop and no event log — the shape of a fleet run. The
+// workload misses deadlines, so a per-miss presentation Note formatted for
+// a controller that never reads it would blow the same ≤ 10-alloc budget.
+func TestControlledRunReuseAllocs(t *testing.T) {
+	cfg := Config{Platform: hw.FlagshipSoC(), Apps: benchApps(), Controller: controllerFuncs{}, TickS: 0.25}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	missed := 0
+	for _, a := range e.Report().Apps {
+		missed += a.Missed
+	}
+	if missed == 0 {
+		t.Fatal("workload missed no deadline: the miss path went unmeasured")
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		if err := e.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(10); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 10 {
+		t.Fatalf("steady-state controlled Reset+Run costs %.1f allocs/run, budget is 10", avg)
+	}
+}

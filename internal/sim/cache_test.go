@@ -9,50 +9,51 @@ import (
 
 // This file is the white-box safety net under the dirty-tracked observable
 // caches: every cached value must equal a from-scratch recompute at every
-// controller tick of a scenario that churns all the invalidation sources
-// (app starts/stops, job activity, DVFS switches, migrations with
-// downtime, ambient changes), and PlanEpoch must move exactly when
-// planning-relevant state does.
+// event and every controller tick of a scenario that churns all the
+// invalidation sources (app starts/stops, job activity on every cluster,
+// accelerator companion load, DVFS switches, migrations with downtime,
+// cluster fail/repair, ambient and level changes), and PlanEpoch must move
+// exactly when planning-relevant state does.
+
+// knobStep is one scripted actuation the auditor performs at its first
+// tick at or after atS.
+type knobStep struct {
+	atS  float64
+	name string
+	do   func(e *Engine) error
+}
 
 // cacheAuditor is a controller that cross-checks every cache against its
-// compute function each tick, while injecting knob churn at fixed times.
+// compute function at every event and every tick, while injecting knob
+// churn at fixed times.
 type cacheAuditor struct {
 	t       *testing.T
-	did3    bool
-	did6    bool
-	did8    bool
-	did10   bool
+	steps   []knobStep
+	fired   int // steps[:fired] have run
+	ticks   int
+	events  int
 	audited int
 }
 
 func (c *cacheAuditor) OnTick(e *Engine) {
-	now := e.Now()
-	switch {
-	case !c.did3 && now >= 3:
-		c.did3 = true
-		if err := e.SetOPP("cpu-big", 0); err != nil {
-			c.t.Errorf("SetOPP: %v", err)
-		}
-	case !c.did6 && now >= 6:
-		c.did6 = true
-		// NPU → GPU: a model reload with real downtime, so blockedUntil
-		// predicates flip mid-window and again when the window ends.
-		if err := e.Migrate("dnn1", Placement{Cluster: "gpu"}); err != nil {
-			c.t.Errorf("Migrate: %v", err)
-		}
-	case !c.did8 && now >= 8:
-		c.did8 = true
-		e.SetAmbient(40)
-	case !c.did10 && now >= 10:
-		c.did10 = true
-		if err := e.SetLevel("dnn1", 2); err != nil {
-			c.t.Errorf("SetLevel: %v", err)
+	c.ticks++
+	for c.fired < len(c.steps) && e.Now() >= c.steps[c.fired].atS {
+		st := c.steps[c.fired]
+		c.fired++
+		if err := st.do(e); err != nil {
+			c.t.Errorf("t=%.2f %s: %v", e.Now(), st.name, err)
 		}
 	}
 	c.audit(e)
 }
 
-func (c *cacheAuditor) OnEvent(e *Engine, ev Event) {}
+// OnEvent audits mid-handle: a controller may read the monitors from any
+// event, so the caches must already be exact when the event is emitted,
+// not only once the engine's post-event refresh has run.
+func (c *cacheAuditor) OnEvent(e *Engine, ev Event) {
+	c.events++
+	c.audit(e)
+}
 
 // audit reads every cached observable (filling the caches), then compares
 // the cached values against direct recomputes.
@@ -69,11 +70,17 @@ func (c *cacheAuditor) audit(e *Engine) {
 		if want := e.computeAnyActiveDNN(cs.c.Name); active != want {
 			c.t.Errorf("t=%.2f %s: cached active %v, recompute %v", e.Now(), cs.c.Name, active, want)
 		}
-		if want := e.computeClusterUtil(cs); util != want {
-			c.t.Errorf("t=%.2f %s: cached util %v, recompute %v", e.Now(), cs.c.Name, util, want)
+		// An offline cluster runs nothing and draws nothing.
+		wantUtil, wantPow := 0.0, 0.0
+		if cs.online {
+			wantUtil = e.computeClusterUtil(cs)
+			wantPow = cs.c.BusyPowerMW(cs.c.OPPs[cs.oppIdx], cs.c.Cores, wantUtil)
 		}
-		if want := cs.c.BusyPowerMW(cs.c.OPPs[cs.oppIdx], cs.c.Cores, util); pow != want {
-			c.t.Errorf("t=%.2f %s: cached power %v, recompute %v", e.Now(), cs.c.Name, pow, want)
+		if util != wantUtil {
+			c.t.Errorf("t=%.2f %s: cached util %v, recompute %v", e.Now(), cs.c.Name, util, wantUtil)
+		}
+		if pow != wantPow {
+			c.t.Errorf("t=%.2f %s: cached power %v, recompute %v", e.Now(), cs.c.Name, pow, wantPow)
 		}
 	}
 	for _, a := range e.appList {
@@ -87,53 +94,132 @@ func (c *cacheAuditor) audit(e *Engine) {
 	}
 }
 
-func cacheTestApps() []App {
+// cacheDNN is a DNN app for the cache audit: a 7 M-MAC model whose full
+// size fits the flagship NPU.
+func cacheDNN(name string, level int, periodS, startS float64, at Placement) App {
 	prof := perf.UniformProfile("cachetest", 7_000_000, 7<<20, perf.PaperAccuracies, nil)
-	return []App{
+	return App{
+		Name: name, Kind: KindDNN, Profile: prof, Level: level,
+		PeriodS: periodS, ModelBytes: 7 << 20, StartS: startS, Placement: at,
+	}
+}
+
+// cacheAuditCase is one platform of the audit: apps on every cluster and a
+// knob script that touches every invalidation source.
+type cacheAuditCase struct {
+	plat  *hw.Platform
+	apps  []App
+	steps []knobStep
+}
+
+// cacheAuditCases covers the three catalog platforms' companion shapes:
+// odroid has CPU clusters only; jetson's gpu induces load on a57;
+// flagship's gpu and npu both induce load on cpu-lit. Every cluster hosts
+// a DNN app at some point, and every companion also hosts work of its own,
+// so a job finishing there audits the companion load an accelerator job
+// induces.
+func cacheAuditCases() []cacheAuditCase {
+	return []cacheAuditCase{
 		{
-			Name: "dnn1", Kind: KindDNN, Profile: prof, Level: 4,
-			PeriodS: 0.040, ModelBytes: 7 << 20,
-			Placement: Placement{Cluster: "npu"},
+			plat: hw.OdroidXU3(),
+			apps: []App{
+				// The paper's reference model: the 7 M-MAC audit model
+				// would take seconds per frame on these cores.
+				dnnApp("dnn1", "a15", 2, 4, 0.100),
+				dnnApp("dnn2", "a7", 2, 3, 0.150),
+				{Name: "bg", Kind: KindBackground, Util: 0.5, StartS: 2, StopS: 11,
+					Placement: Placement{Cluster: "a7", Cores: 1}},
+			},
+			steps: []knobStep{
+				{3, "SetOPP", func(e *Engine) error { return e.SetOPP("a15", 0) }},
+				{6, "Migrate", func(e *Engine) error { return e.Migrate("dnn1", Placement{Cluster: "a7", Cores: 1}) }},
+				{8, "SetAmbient", func(e *Engine) error { e.SetAmbient(40); return nil }},
+				{9, "SetClusterOnline", func(e *Engine) error { return e.SetClusterOnline("a15", false) }},
+				{10, "SetLevel", func(e *Engine) error { return e.SetLevel("dnn2", 2) }},
+				{11, "SetClusterOnline", func(e *Engine) error { return e.SetClusterOnline("a15", true) }},
+				{12, "Migrate", func(e *Engine) error { return e.Migrate("dnn1", Placement{Cluster: "a15", Cores: 4}) }},
+			},
 		},
 		{
-			Name: "dnn2", Kind: KindDNN, Profile: prof, Level: 3,
-			PeriodS: 1.0 / 60, ModelBytes: 7 << 20, StartS: 2,
-			Placement: Placement{Cluster: "cpu-big", Cores: 4},
+			plat: hw.JetsonNano(),
+			apps: []App{
+				cacheDNN("dnn1", 4, 0.040, 0, Placement{Cluster: "gpu"}),
+				cacheDNN("dnn2", 3, 0.050, 1, Placement{Cluster: "a57", Cores: 2}),
+				{Name: "vr", Kind: KindRender, Util: 0.5, StartS: 4, StopS: 11,
+					Placement: Placement{Cluster: "gpu"}},
+				{Name: "bg", Kind: KindBackground, Util: 0.3,
+					Placement: Placement{Cluster: "a57", Cores: 1}},
+			},
+			steps: []knobStep{
+				{3, "SetOPP", func(e *Engine) error { return e.SetOPP("gpu", 0) }},
+				{6, "Migrate", func(e *Engine) error { return e.Migrate("dnn2", Placement{Cluster: "gpu"}) }},
+				{8, "SetAmbient", func(e *Engine) error { e.SetAmbient(40); return nil }},
+				{9, "SetClusterOnline", func(e *Engine) error { return e.SetClusterOnline("gpu", false) }},
+				{10, "SetClusterOnline", func(e *Engine) error { return e.SetClusterOnline("gpu", true) }},
+				{10.5, "Migrate", func(e *Engine) error { return e.Migrate("dnn1", Placement{Cluster: "gpu"}) }},
+				{11, "SetLevel", func(e *Engine) error { return e.SetLevel("dnn1", 2) }},
+			},
 		},
 		{
-			Name: "vr", Kind: KindRender, Util: 0.6, StartS: 4, StopS: 11,
-			Placement: Placement{Cluster: "gpu"},
-		},
-		{
-			Name: "bg", Kind: KindBackground, Util: 0.3,
-			Placement: Placement{Cluster: "cpu-lit", Cores: 2},
+			plat: hw.FlagshipSoC(),
+			apps: []App{
+				cacheDNN("dnn1", 4, 0.040, 0, Placement{Cluster: "npu"}),
+				cacheDNN("dnn2", 3, 1.0/60, 2, Placement{Cluster: "cpu-big", Cores: 4}),
+				cacheDNN("dnn3", 2, 0.050, 0, Placement{Cluster: "gpu"}),
+				cacheDNN("dnn4", 2, 0.070, 1, Placement{Cluster: "cpu-lit", Cores: 1}),
+				{Name: "vr", Kind: KindRender, Util: 0.6, StartS: 4, StopS: 11,
+					Placement: Placement{Cluster: "gpu"}},
+				{Name: "bg", Kind: KindBackground, Util: 0.3,
+					Placement: Placement{Cluster: "cpu-lit", Cores: 2}},
+			},
+			steps: []knobStep{
+				{3, "SetOPP", func(e *Engine) error { return e.SetOPP("cpu-big", 0) }},
+				// NPU → GPU: a model reload with real downtime, so
+				// blockedUntil predicates flip mid-window and again when
+				// the window ends.
+				{6, "Migrate", func(e *Engine) error { return e.Migrate("dnn1", Placement{Cluster: "gpu"}) }},
+				{8, "SetAmbient", func(e *Engine) error { e.SetAmbient(40); return nil }},
+				{9, "SetClusterOnline", func(e *Engine) error { return e.SetClusterOnline("npu", false) }},
+				{10, "SetLevel", func(e *Engine) error { return e.SetLevel("dnn1", 2) }},
+				{11, "SetClusterOnline", func(e *Engine) error { return e.SetClusterOnline("npu", true) }},
+				{12, "Migrate", func(e *Engine) error { return e.Migrate("dnn3", Placement{Cluster: "npu"}) }},
+			},
 		},
 	}
 }
 
-// TestCachedObservablesMatchRecompute drives a scenario through every
-// cache-invalidation source and asserts, tick by tick, that the cached
-// cluster util/power/share/active and per-app job rates are
-// indistinguishable from recomputing them from scratch.
+// TestCachedObservablesMatchRecompute drives each catalog platform through
+// every cache-invalidation source and asserts, event by event and tick by
+// tick, that the cached cluster util/power/share/active and per-app job
+// rates are indistinguishable from recomputing them from scratch.
 func TestCachedObservablesMatchRecompute(t *testing.T) {
-	aud := &cacheAuditor{t: t}
-	e, err := New(Config{
-		Platform:   hw.FlagshipSoC(),
-		Apps:       cacheTestApps(),
-		Controller: aud,
-		TickS:      0.25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(14); err != nil {
-		t.Fatal(err)
-	}
-	if !aud.did3 || !aud.did6 || !aud.did8 || !aud.did10 {
-		t.Fatalf("not every disturbance fired: %+v", aud)
-	}
-	if aud.audited == 0 {
-		t.Fatal("auditor never ran")
+	for _, tc := range cacheAuditCases() {
+		t.Run(tc.plat.Name, func(t *testing.T) {
+			aud := &cacheAuditor{t: t, steps: tc.steps}
+			e, err := New(Config{
+				Platform:   tc.plat,
+				Apps:       tc.apps,
+				Controller: aud,
+				TickS:      0.25,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Run(14); err != nil {
+				t.Fatal(err)
+			}
+			if aud.fired != len(tc.steps) {
+				t.Fatalf("only %d of %d knob steps fired", aud.fired, len(tc.steps))
+			}
+			if aud.ticks == 0 || aud.events == 0 {
+				t.Fatalf("auditor saw %d ticks and %d events; want both > 0", aud.ticks, aud.events)
+			}
+			for _, a := range e.appList {
+				if a.Kind == KindDNN && a.completed == 0 {
+					t.Errorf("%s completed no job: its cluster's caches were never churned", a.Name)
+				}
+			}
+		})
 	}
 }
 

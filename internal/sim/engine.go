@@ -204,7 +204,32 @@ func (e *Engine) advanceTo(t float64) {
 	// still open — in steady state the caches survive the advance and the
 	// post-event refresh reuses them.
 	if prev < e.maxBlockedUntil {
-		e.stateVer++
+		e.dirtyAll()
+	}
+}
+
+// dirtyCluster invalidates the derived values a job starting or finishing
+// on cs can change: cs's own, and its companion's (whose utilisation
+// reads cs's any-active predicate). Every other cluster keeps its caches.
+//
+//detlint:hotpath
+func (e *Engine) dirtyCluster(cs *clusterState) {
+	e.stateVer++
+	cs.ver = e.stateVer
+	if cs.companion != nil {
+		cs.companion.ver = e.stateVer
+	}
+}
+
+// dirtyAll invalidates every cluster's derived values — the rare
+// mutations (app lifecycle, DVFS, availability, migration, clock advances
+// inside a downtime window) that are not worth tracking per cluster.
+//
+//detlint:hotpath
+func (e *Engine) dirtyAll() {
+	e.stateVer++
+	for _, cs := range e.clusterList {
+		cs.ver = e.stateVer
 	}
 }
 
@@ -216,11 +241,11 @@ func (e *Engine) clusterUtil(name string) float64 {
 }
 
 // clusterUtilOf returns a cluster's utilisation through the derived-value
-// cache, recomputing only when the state version moved. The matching busy
+// cache, recomputing only when the cluster's version moved. The matching busy
 // power is computed and cached alongside — every hot caller that needs one
 // needs the other within the same piecewise-constant segment.
 func (e *Engine) clusterUtilOf(cs *clusterState) float64 {
-	if cs.utilVer != e.stateVer {
+	if cs.utilVer != cs.ver {
 		if cs.online {
 			cs.cachedUtil = e.computeClusterUtil(cs)
 			cs.cachedPow = cs.c.BusyPowerMW(cs.c.OPPs[cs.oppIdx], cs.c.Cores, cs.cachedUtil)
@@ -229,7 +254,7 @@ func (e *Engine) clusterUtilOf(cs *clusterState) float64 {
 			// static power: the domain is dead, not idle.
 			cs.cachedUtil, cs.cachedPow = 0, 0
 		}
-		cs.utilVer = e.stateVer
+		cs.utilVer = cs.ver
 	}
 	return cs.cachedUtil
 }
@@ -288,12 +313,12 @@ func (e *Engine) computeClusterUtil(cs *clusterState) float64 {
 }
 
 // acceleratorDNNShare returns the fraction of the accelerator each active
-// DNN job uses (cached per state version): active jobs share whatever
+// DNN job uses (cached per cluster version): active jobs share whatever
 // render apps leave.
 func (e *Engine) acceleratorDNNShare(cs *clusterState) float64 {
-	if cs.shareVer != e.stateVer {
+	if cs.shareVer != cs.ver {
 		cs.cachedShare = e.computeAcceleratorDNNShare(cs.c.Name)
-		cs.shareVer = e.stateVer
+		cs.shareVer = cs.ver
 	}
 	return cs.cachedShare
 }
@@ -325,9 +350,9 @@ func (e *Engine) computeAcceleratorDNNShare(cluster string) float64 {
 }
 
 func (e *Engine) anyActiveDNN(cs *clusterState) bool {
-	if cs.activeVer != e.stateVer {
+	if cs.activeVer != cs.ver {
 		cs.cachedActive = e.computeAnyActiveDNN(cs.c.Name)
-		cs.activeVer = e.stateVer
+		cs.activeVer = cs.ver
 	}
 	return cs.cachedActive
 }
@@ -343,11 +368,11 @@ func (e *Engine) computeAnyActiveDNN(cluster string) bool {
 }
 
 // jobRate returns the MAC/s processing rate of an app's current job,
-// cached per state version.
+// cached per version of its host cluster.
 func (e *Engine) jobRate(a *appState) float64 {
-	if a.rateVer != e.stateVer {
+	if a.rateVer != a.placedCS.ver {
 		a.cachedRate = e.computeJobRate(a)
-		a.rateVer = e.stateVer
+		a.rateVer = a.placedCS.ver
 	}
 	return a.cachedRate
 }
@@ -376,7 +401,7 @@ func (e *Engine) handle(ev hevent) {
 		a.started = true
 		// Dirty before emit: a controller reacting to the event must see
 		// fresh derived values and the new planning epoch.
-		e.stateVer++
+		e.dirtyAll()
 		e.planEpoch++
 		e.emit(Event{TimeS: e.now, Kind: EvAppStart, App: a.Name})
 		if a.Kind == KindDNN {
@@ -386,7 +411,7 @@ func (e *Engine) handle(ev hevent) {
 		a := e.appList[ev.app]
 		a.stopped = true
 		a.jobActive = false
-		e.stateVer++
+		e.dirtyAll()
 		e.planEpoch++
 		e.emit(Event{TimeS: e.now, Kind: EvAppStop, App: a.Name})
 	case hRelease:
@@ -425,7 +450,7 @@ func (e *Engine) handle(ev hevent) {
 			if !e.alarmed && e.thermal.TempC >= e.plat.Thermal.ThrottleC-0.05 {
 				e.alarmed = true
 				ev := Event{TimeS: e.now, Kind: EvThermalAlarm}
-				if e.observed() {
+				if e.logEvents {
 					ev.Note = fmt.Sprintf("%.1fC", e.thermal.TempC)
 				}
 				e.emit(ev)
@@ -468,7 +493,7 @@ func (e *Engine) release(a *appState) {
 		a.jobRemaining = float64(a.Profile.Level(a.level).MACs)
 		// The job becoming active changes utilisations and shares; the rate
 		// below must be computed under the new state.
-		e.stateVer++
+		e.dirtyCluster(a.placedCS)
 		// Charge the per-inference fixed overhead (pre/post-processing) as
 		// work at the current rate, matching perf.InferenceLatencyS.
 		if rate := e.jobRate(a); rate > 0 {
@@ -484,7 +509,8 @@ func (e *Engine) release(a *appState) {
 func (e *Engine) complete(a *appState) {
 	latency := e.now - a.jobReleaseS
 	a.jobActive = false
-	e.stateVer++
+	e.dirtyCluster(a.placedCS)
+	e.latencies = append(e.latencies, latency)
 	a.completed++
 	if e.offline > 0 {
 		e.degCompleted++
@@ -499,23 +525,15 @@ func (e *Engine) complete(a *appState) {
 			e.degMissed++
 		}
 		ev := Event{TimeS: e.now, Kind: EvDeadlineMiss, App: a.Name, LatencyS: latency}
-		if e.observed() {
-			// The note is presentation-only; formatting it when no log and
-			// no controller will ever see it was the uncontrolled run's
-			// dominant allocation.
+		if e.logEvents {
+			// The note is presentation-only; formatting it for a run that
+			// keeps no log was a fleet run's dominant allocation.
 			ev.Note = fmt.Sprintf("latency %.1fms > %.1fms", latency*1000, a.PeriodS*1000)
 		}
 		e.emit(ev)
 	} else {
 		e.emit(Event{TimeS: e.now, Kind: EvJobComplete, App: a.Name, LatencyS: latency})
 	}
-}
-
-// observed reports whether an emitted Event reaches anything — the
-// retained log or a controller. Callers formatting presentation-only Note
-// strings check this first so an unobserved run never pays for them.
-func (e *Engine) observed() bool {
-	return e.logEvents || e.ctrl != nil
 }
 
 // emit records an event and forwards it to the controller.

@@ -126,10 +126,16 @@ type Event struct {
 	// Cluster names the cluster an EvClusterFail/EvClusterRepair event is
 	// about ("" for app-level events).
 	Cluster string
-	Note    string
+	// Note is a human-readable detail for timelines. Formatted notes
+	// (deadline-miss latencies, thermal-alarm temperatures, migration
+	// routes) are built only when the engine retains its event log
+	// (Config.LogEvents); controllers must read the structured fields
+	// (LatencyS, TimeS, Engine monitors) instead.
+	Note string
 	// LatencyS is the job's release-to-completion latency, set on
-	// EvJobComplete and EvDeadlineMiss (0 otherwise). Consumers building
-	// latency distributions (percentiles) read it from the event log.
+	// EvJobComplete and EvDeadlineMiss (0 otherwise). The same values, in
+	// completion order, are always collected in Report.Latencies, so a
+	// latency distribution does not need the event log.
 	LatencyS float64
 }
 
@@ -185,7 +191,9 @@ type appState struct {
 	placedCS *clusterState
 
 	// Derived-value cache (see Engine.stateVer): the job's MAC/s rate,
-	// valid while rateVer matches the engine's stateVer.
+	// valid while rateVer matches placedCS.ver. The rate reads only its
+	// own cluster's state, and a migration (which changes placedCS)
+	// restamps every cluster, so a tag from the old host never matches.
 	rateVer    uint64
 	cachedRate float64
 
@@ -208,11 +216,23 @@ type clusterState struct {
 	busyS   float64 // seconds with any activity
 	lastPow float64 // mW, for observability
 
-	// Derived-value caches (see Engine.stateVer). Between mutations the
-	// system is piecewise-constant, so utilisation, busy power, the
-	// accelerator DNN share and the any-active-DNN predicate are computed
-	// once per state version instead of once per caller. Each value is
-	// valid while its version tag matches the engine's stateVer.
+	// ver is this cluster's state version, stamped from Engine.stateVer
+	// whenever something its derived values read may have changed: a job
+	// starting or finishing on it or on an accelerator it is the companion
+	// of (Engine.dirtyCluster), or any rare mutation (Engine.dirtyAll).
+	ver uint64
+	// companion is the cluster this one induces CompanionUtil load on
+	// while it runs DNN jobs (nil when it induces none), resolved once in
+	// Reset. Its utilisation reads this cluster's any-active predicate, so
+	// dirtyCluster stamps it too.
+	companion *clusterState
+
+	// Derived-value caches. Between mutations the system is
+	// piecewise-constant, so utilisation, busy power, the accelerator DNN
+	// share and the any-active-DNN predicate are computed once per version
+	// of this cluster instead of once per caller. Each value is valid
+	// while its tag matches ver; a job churning on one cluster leaves the
+	// other clusters' caches valid.
 	utilVer      uint64
 	cachedUtil   float64
 	cachedPow    float64
@@ -264,6 +284,10 @@ type Engine struct {
 	migrations  int
 	levelSwaps  int
 	oppSwitches int
+	// latencies collects every completed job's latency in completion
+	// order, log or no log: Report.Latencies aliases it and Reset
+	// truncates it, so a reused engine fills it allocation-free.
+	latencies []float64
 
 	// Fault accounting. offline counts clusters currently unavailable (the
 	// cheap "is anything degraded" predicate); unhostedS integrates running
@@ -279,13 +303,17 @@ type Engine struct {
 	degMissed      int
 	degDropped     int
 
-	// stateVer tags the derived-value caches (cluster utilisation/power,
-	// accelerator share, job rates). It advances on every mutation those
-	// values can observe — app lifecycle, job start/finish, OPP switches,
-	// migrations — and on clock advances while a migration downtime window
-	// is still open (the blocked-until predicates read the clock). A cache
-	// entry whose tag matches stateVer is exactly the value a fresh
-	// recomputation would produce, bit for bit.
+	// stateVer is the monotone counter the per-cluster versions
+	// (clusterState.ver) are stamped from. It advances on every mutation
+	// the derived-value caches (cluster utilisation/power, accelerator
+	// share, job rates) can observe: job start/finish restamp only the
+	// host cluster and its companion; app lifecycle, OPP switches,
+	// availability changes, migrations and clock advances while a
+	// migration downtime window is still open (the blocked-until
+	// predicates read the clock) restamp every cluster. Because every
+	// stamp is a fresh counter value, a stale tag can never match, and a
+	// cache entry whose tag matches its cluster's ver is exactly the value
+	// a fresh recomputation would produce, bit for bit.
 	stateVer uint64
 	// planEpoch is a monotone counter over planning-relevant state: the
 	// running-app set, model levels, placements, OPPs and ambient. The
@@ -307,7 +335,11 @@ type Config struct {
 	Controller Controller // may be nil (uncontrolled baseline)
 	TickS      float64    // controller epoch; 0 disables ticks
 	Migration  MigrationModel
-	LogEvents  bool // retain the full event log (tests, reports)
+	// LogEvents retains the full event log in Report.Events and formats
+	// the events' presentation Notes (timelines, tests). Without it the
+	// controller still sees every event, with an empty Note for formatted
+	// kinds; per-job latencies are in Report.Latencies either way.
+	LogEvents bool
 }
 
 // New validates the config and builds an engine.
@@ -329,7 +361,8 @@ func New(cfg Config) (*Engine, error) {
 // layer's reuse property tests pin.
 //
 // Reset invalidates everything handed out by the previous run: Report
-// Events slices alias the engine's log and are rewritten in place. On
+// Events and Latencies slices alias the engine's buffers and are
+// rewritten in place. On
 // error the engine is left partially rewound and must not be used until a
 // subsequent Reset succeeds.
 func (e *Engine) Reset(cfg Config) error {
@@ -358,8 +391,9 @@ func (e *Engine) Reset(cfg Config) error {
 	e.unhostedS = 0
 	e.degReleased, e.degCompleted, e.degMissed, e.degDropped = 0, 0, 0, 0
 	e.maxTempC = cfg.Platform.AmbientC
-	// stateVer restarts at 1 so the version tags zeroed by the store
-	// rewrites below are invalid until first fill.
+	// stateVer restarts at 1 and every cluster is stamped with it, so the
+	// version tags zeroed by the store rewrites below are invalid until
+	// first fill.
 	e.stateVer, e.planEpoch, e.maxBlockedUntil = 1, 0, 0
 
 	if e.apps == nil {
@@ -378,10 +412,15 @@ func (e *Engine) Reset(cfg Config) error {
 	e.clusterStore = e.clusterStore[:len(cfg.Platform.Clusters)]
 	e.clusterList = e.clusterList[:0]
 	for i, c := range cfg.Platform.Clusters {
-		e.clusterStore[i] = clusterState{c: c, online: true}
+		e.clusterStore[i] = clusterState{c: c, online: true, ver: e.stateVer}
 		cs := &e.clusterStore[i]
 		e.clusters[c.Name] = cs
 		e.clusterList = append(e.clusterList, cs)
+	}
+	for _, cs := range e.clusterList {
+		if cs.c.CompanionUtil != 0 {
+			cs.companion = e.clusters[cs.c.CompanionName]
+		}
 	}
 
 	if cap(e.appStore) < len(cfg.Apps) {
@@ -416,6 +455,7 @@ func (e *Engine) Reset(cfg Config) error {
 		e.eventLog = make([]Event, 0, 512)
 	}
 	e.eventLog = e.eventLog[:0]
+	e.latencies = e.latencies[:0]
 	return nil
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -512,5 +513,61 @@ func TestClusterInfoReporting(t *testing.T) {
 	}
 	if _, err := e.Cluster("nope"); err == nil {
 		t.Fatal("unknown cluster must error")
+	}
+}
+
+// TestReportLatenciesMatchEventLog: Report.Latencies is the completion-order
+// LatencyS of the EvJobComplete/EvDeadlineMiss events, it is the same with
+// the log off, and Reset truncates it for the next run.
+func TestReportLatenciesMatchEventLog(t *testing.T) {
+	logged := Config{Platform: hw.FlagshipSoC(), Apps: benchApps(), LogEvents: true}
+	e := mustEngine(t, logged)
+	if err := e.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	rep := e.Report()
+	var want []float64
+	misses := 0
+	for _, ev := range rep.Events {
+		switch ev.Kind {
+		case EvDeadlineMiss:
+			misses++
+			want = append(want, ev.LatencyS)
+		case EvJobComplete:
+			want = append(want, ev.LatencyS)
+		}
+	}
+	if misses == 0 || len(want) == misses {
+		t.Fatalf("want both on-time and late completions, got %d of %d late", misses, len(want))
+	}
+	if !slices.Equal(rep.Latencies, want) {
+		t.Fatalf("Report.Latencies (%d) differs from the event log's latencies (%d)", len(rep.Latencies), len(want))
+	}
+
+	unlogged := logged
+	unlogged.LogEvents = false
+	if err := e.Reset(unlogged); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	rep = e.Report()
+	if len(rep.Events) != 0 {
+		t.Fatalf("log off kept %d events", len(rep.Events))
+	}
+	if !slices.Equal(rep.Latencies, want) {
+		t.Fatal("Report.Latencies with the log off differs from the logged run's")
+	}
+
+	if err := e.Reset(Config{Platform: hw.OdroidXU3(), Apps: []App{dnnApp("solo", "a15", 4, 3, 0.05)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	rep = e.Report()
+	if len(rep.Latencies) != rep.Apps[0].Completed {
+		t.Fatalf("after Reset: %d latencies for %d completed jobs", len(rep.Latencies), rep.Apps[0].Completed)
 	}
 }

@@ -205,37 +205,35 @@ func Fig5Scenario(prof perf.ModelProfile) Scenario {
 }
 
 // Run executes a scenario with the manager in the loop and returns the
-// engine for inspection, the manager, and the final report.
+// engine for inspection, the manager, and the final report, whose event
+// log is retained for timelines.
 func Run(s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any)) (*sim.Engine, *rtm.Manager, sim.Report, error) {
-	return RunEngine(nil, s, plat, tickS, logf)
+	return RunEngineOpts(nil, s, plat, tickS, logf, RunOptions{LogEvents: true})
 }
 
-// RunOptions carries plan-reuse wiring for RunEngineOpts. The zero value
-// is the default behaviour: replan elision is active.
+// RunOptions carries the per-run switches of RunEngineOpts. The zero
+// value keeps no event log and leaves replan elision active.
 type RunOptions struct {
+	// LogEvents retains the engine's event log in Report.Events (see
+	// sim.Config.LogEvents). Per-job latencies are in Report.Latencies
+	// either way, so fleet runs leave it off.
+	LogEvents bool
 	// DisablePlanReuse turns off replan elision (rtm.Manager.NoPlanReuse)
 	// — the reuse-off arm of equivalence tests and the fleetsim
 	// -plancache=false switch.
 	DisablePlanReuse bool
 }
 
-// RunEngine is Run with engine reuse: a non-nil engine is Reset in place
-// for the scenario instead of constructed, which removes the per-run
-// engine-construction allocations — the point of a worker owning one
-// engine for its whole scenario stream. The manager and controller are
-// always fresh (their construction is cheap and their state must be
-// pristine per run), so a reused-engine run is byte-identical to a fresh
-// one. Passing nil behaves exactly like Run. The returned engine is the
-// one the scenario actually ran on; reuse it for the next call. A
-// scenario's Report must be consumed before the engine is reused — Reset
-// rewrites the event log the Report's Events field aliases.
-func RunEngine(e *sim.Engine, s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any)) (*sim.Engine, *rtm.Manager, sim.Report, error) {
-	return RunEngineOpts(e, s, plat, tickS, logf, RunOptions{})
-}
-
-// RunEngineOpts is RunEngine with plan-reuse wiring (see RunOptions).
-// Reuse never changes a report byte — the options only control whether
-// and where planning work is skipped.
+// RunEngineOpts is Run with engine reuse and run options: a non-nil
+// engine is Reset in place for the scenario instead of constructed, which
+// removes the per-run engine-construction allocations — the point of a
+// worker owning one engine for its whole scenario stream. The manager and
+// controller are always fresh (their construction is cheap and their
+// state must be pristine per run), so a reused-engine run is
+// byte-identical to a fresh one, and no option changes a result byte. The
+// returned engine is the one the scenario actually ran on; reuse it for
+// the next call. A scenario's Report must be consumed before the engine
+// is reused — Reset rewrites the buffers its Events and Latencies alias.
 func RunEngineOpts(e *sim.Engine, s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any), opts RunOptions) (*sim.Engine, *rtm.Manager, sim.Report, error) {
 	pol := s.Planner
 	if pol == nil {
@@ -263,7 +261,7 @@ func RunEngineOpts(e *sim.Engine, s Scenario, plat *hw.Platform, tickS float64, 
 		Apps:       s.Apps,
 		Controller: ctrl,
 		TickS:      tickS,
-		LogEvents:  true,
+		LogEvents:  opts.LogEvents,
 	}
 	var err error
 	if e == nil {
