@@ -1,9 +1,6 @@
 package fleet
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // GroupStats summarises one slice of the fleet (overall, per platform, or
 // per class). Rates are frame-weighted across the group's scenarios;
@@ -99,11 +96,15 @@ type Report struct {
 	Regret     map[string]RegretStats `json:"regret,omitempty"`
 }
 
-// group accumulates results before finalisation.
+// group accumulates results before finalisation. It pools latency samples
+// by reference: samples holds each result's Latencies slice as given, so
+// add copies nothing and a result's samples are never reordered; finalise
+// copies the pool into one scratch buffer to select its percentile.
 type group struct {
-	stats     GroupStats
-	latencies []float64
-	latSum    float64
+	stats    GroupStats
+	samples  [][]float64
+	nSamples int
+	latSum   float64
 	// Scalar fallback for results whose raw Latencies were dropped
 	// (Runner.DropLatencies / fleetsim -nolat): the group mean stays exact
 	// (per-scenario mean × completion count), the group p95 is
@@ -148,7 +149,8 @@ func (g *group) add(r Result) {
 	}
 	switch {
 	case len(r.Latencies) > 0:
-		g.latencies = append(g.latencies, r.Latencies...)
+		g.samples = append(g.samples, r.Latencies)
+		g.nSamples += len(r.Latencies)
 		for _, l := range r.Latencies {
 			g.latSum += l
 		}
@@ -164,7 +166,9 @@ func (g *group) add(r Result) {
 	}
 }
 
-func (g *group) finalise() GroupStats {
+// finalise computes the group's derived stats. scratch is the pooled-sample
+// buffer shared by every group of one Aggregate call; it is overwritten.
+func (g *group) finalise(scratch *[]float64) GroupStats {
 	s := g.stats
 	if s.Frames > 0 {
 		// Aborted frames are QoS failures too; the term is zero (and the
@@ -186,15 +190,16 @@ func (g *group) finalise() GroupStats {
 		}
 		s.HealthyMissRate = float64(fails) / float64(healthy)
 	}
-	if n := len(g.latencies) + g.scalarCount; n > 0 {
+	if n := g.nSamples + g.scalarCount; n > 0 {
 		s.MeanLatencyS = g.latSum / float64(n)
 	}
-	if len(g.latencies) > 0 {
-		// The group owns its pooled copy, so one in-place sort serves
-		// every order statistic (p95 today, any quantile tomorrow) —
-		// percentile() would copy and re-sort per call.
-		sort.Float64s(g.latencies)
-		s.P95LatencyS = PercentileSorted(g.latencies, 0.95)
+	if g.nSamples > 0 {
+		pool := (*scratch)[:0]
+		for _, lat := range g.samples {
+			pool = append(pool, lat...)
+		}
+		s.P95LatencyS = selectKth(pool, percentileRank(len(pool), 0.95))
+		*scratch = pool
 	}
 	if g.scalarP95 > s.P95LatencyS {
 		s.P95LatencyS = g.scalarP95
@@ -211,7 +216,8 @@ func (g *group) finalise() GroupStats {
 
 // Aggregate folds per-scenario results into the fleet report. Results are
 // consumed in slice order, so the report is deterministic whenever the
-// results slice is (which Runner.Run guarantees).
+// results slice is (which Runner.Run guarantees). The results' Latencies
+// are read, never reordered.
 func Aggregate(seed uint64, results []Result) Report {
 	overall := &group{}
 	byPlat := map[string]*group{}
@@ -232,19 +238,21 @@ func Aggregate(seed uint64, results []Result) Report {
 		}
 		byPol[r.Policy].add(r)
 	}
+	// Overall pools every sample, so its size fits any group's pool.
+	scratch := make([]float64, 0, overall.nSamples)
 	rep := Report{
 		Seed:       seed,
-		Overall:    overall.finalise(),
+		Overall:    overall.finalise(&scratch),
 		ByPlatform: map[string]GroupStats{},
 		ByClass:    map[Class]GroupStats{},
 	}
 	//detlint:ordered map-to-map rebuild; finalise reads only its own group
 	for name, g := range byPlat {
-		rep.ByPlatform[name] = g.finalise()
+		rep.ByPlatform[name] = g.finalise(&scratch)
 	}
 	//detlint:ordered map-to-map rebuild; finalise reads only its own group
 	for class, g := range byClass {
-		rep.ByClass[class] = g.finalise()
+		rep.ByClass[class] = g.finalise(&scratch)
 	}
 	// A policy breakdown of a single-policy fleet would repeat Overall;
 	// only sweeps get one — and only sweeps have an oracle to regret
@@ -253,7 +261,7 @@ func Aggregate(seed uint64, results []Result) Report {
 		rep.ByPolicy = map[string]GroupStats{}
 		//detlint:ordered map-to-map rebuild; finalise reads only its own group
 		for name, g := range byPol {
-			rep.ByPolicy[name] = g.finalise()
+			rep.ByPolicy[name] = g.finalise(&scratch)
 		}
 		rep.Regret = regret(results)
 	}

@@ -2,7 +2,10 @@ package fleet
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -101,9 +104,8 @@ func TestPercentileNearestRankVsRoundHalfUp(t *testing.T) {
 // TestPercentileSortedMatchesPercentile pins the sorted-once fast path
 // against the copy-and-sort-per-quantile reference: for every table the
 // p50/p95/max read off one sorted copy must be identical to calling
-// percentile per quantile. This is what lets group finalisation (and the
-// runner's per-scenario stats) sort each pooled latency slice exactly
-// once.
+// percentile per quantile, so a caller such as fleetbench can sort once
+// for several quantiles.
 func TestPercentileSortedMatchesPercentile(t *testing.T) {
 	tables := map[string][]float64{
 		"empty":      nil,
@@ -364,5 +366,88 @@ func TestAggregateMixedErrors(t *testing.T) {
 	}
 	if g.MeanLatencyS != 2 || g.MaxLatencyS != 3 {
 		t.Errorf("latency stats = mean %g max %g, want 2/3", g.MeanLatencyS, g.MaxLatencyS)
+	}
+}
+
+// TestSelectKth: selection returns exactly what a full ascending sort puts
+// at every index k, on random, all-equal, two-valued, sorted and
+// reverse-sorted inputs and every n up to 5 — and so does the sort
+// fallback once the depth budget is spent.
+func TestSelectKth(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	inputs := map[string][]float64{}
+	for n := 1; n <= 5; n++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(rng.IntN(3))
+		}
+		inputs[fmt.Sprintf("n=%d", n)] = xs
+	}
+	random := make([]float64, 1000)
+	twoValued := make([]float64, 777)
+	for i := range random {
+		random[i] = rng.ExpFloat64()
+	}
+	for i := range twoValued {
+		twoValued[i] = float64(rng.IntN(2)) * 0.25
+	}
+	sorted := slices.Clone(random)
+	slices.Sort(sorted)
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+	inputs["random"] = random
+	inputs["all-equal"] = slices.Repeat([]float64{0.125}, 513)
+	inputs["two-valued"] = twoValued
+	inputs["sorted"] = sorted
+	inputs["reverse-sorted"] = reversed
+
+	for name, xs := range inputs {
+		want := slices.Clone(xs)
+		slices.Sort(want)
+		for _, budget := range []int{-1, 0, 1, 3} {
+			for k := range xs {
+				work := slices.Clone(xs)
+				var got float64
+				if budget < 0 {
+					got = selectKth(work, k)
+				} else {
+					got = introselect(work, k, budget)
+				}
+				if got != want[k] {
+					t.Fatalf("%s (budget %d): k=%d selected %v, sort gives %v", name, budget, k, got, want[k])
+				}
+				slices.Sort(work)
+				if !slices.Equal(work, want) {
+					t.Fatalf("%s (budget %d): k=%d lost or changed samples", name, budget, k)
+				}
+			}
+		}
+	}
+}
+
+// TestAggregateKeepsLatencies: Aggregate pools samples by reference and
+// selects on a scratch copy, so every input Result.Latencies keeps its
+// content and completion order.
+func TestAggregateKeepsLatencies(t *testing.T) {
+	gen, err := NewGenerator(GeneratorConfig{Seed: 31, Policies: []string{"heuristic", "minenergy"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := (&Runner{Workers: 2}).Run(gen.Generate(gen.RunCount(6)))
+	// A platform of its own: a group pooling exactly one result.
+	results = append(results, Result{ID: len(results), Platform: "solo", Class: ClassSteady,
+		Policy: "heuristic", Completed: 4, Latencies: []float64{0.4, 0.1, 0.3, 0.2}})
+	before := make([][]float64, len(results))
+	for i, r := range results {
+		before[i] = slices.Clone(r.Latencies)
+	}
+	rep := Aggregate(31, results)
+	if rep.Overall.P95LatencyS == 0 || len(rep.ByPolicy) != 2 {
+		t.Fatalf("aggregate pooled no samples: overall p95 %v, %d policies", rep.Overall.P95LatencyS, len(rep.ByPolicy))
+	}
+	for i, r := range results {
+		if !slices.Equal(r.Latencies, before[i]) {
+			t.Errorf("result %d: Aggregate reordered or changed its latencies", r.ID)
+		}
 	}
 }

@@ -222,10 +222,10 @@ func TestResolvePolicies(t *testing.T) {
 	}
 }
 
-// percentile returns the p-quantile (nearest-rank) of the samples. It is
-// test-only scaffolding: the production runner sorts once and reads every
-// order statistic through PercentileSorted, and this reference wrapper
-// exists so tests can express expectations over unsorted sample sets.
+// percentile returns the p-quantile (nearest-rank) of the samples by
+// copying and sorting them. It is test-only scaffolding: the fleet selects
+// its order statistics with selectKth, and this sort-based reference lets
+// tests express expectations over unsorted sample sets.
 func percentile(samples []float64, p float64) float64 {
 	if len(samples) == 0 {
 		return 0

@@ -3,8 +3,9 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,6 +22,8 @@ import (
 // zeroing the pooled latency stats. The field is optional: runs made with
 // Runner.DropLatencies (fleetsim -nolat) omit it to keep million-scenario
 // shard files small, and Aggregate then falls back to the scalar stats.
+// Latencies must stay the last field: the stream codec (recordcodec.go)
+// writes and reads it after encoding/json's encoding of the rest.
 type Result struct {
 	ID       int    `json:"id"`
 	Name     string `json:"name"`
@@ -74,12 +77,13 @@ type Result struct {
 // comparable across scenarios.
 const TickS = 0.25
 
-// sortedPool holds reusable scratch for the one sorted copy of a run's
-// latencies that every percentile reads from. Pooled because a fleet run
-// executes thousands of scenarios per worker and the per-scenario copies
-// were the runner's dominant allocation; the published Result only ever
-// gets an exact-size copy.
-var sortedPool = sync.Pool{New: func() any { return new([]float64) }}
+// scratchPool holds reusable scratch for the copy of a run's latencies that
+// selectKth partitions in place: the published Result.Latencies must stay
+// in completion order, and the engine's buffer belongs to the engine.
+// Pooled because a fleet run executes thousands of scenarios per worker and
+// the per-scenario copies were the runner's dominant allocation; the
+// published Result only ever gets an exact-size copy.
+var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // RunOne executes a single scenario to completion. It is a pure function
 // of the scenario (fresh platform, fresh manager, no logging), which is
@@ -173,20 +177,22 @@ func runOne(s Scenario, o runOpts) (Result, *sim.Engine, rtm.PlanStats) {
 	// The engine collects latencies in completion order whether or not it
 	// keeps an event log, so the fleet run leaves the log off.
 	raw := rep.Latencies
-	var sum float64
-	for _, l := range raw {
-		sum += l
-	}
 	if len(raw) > 0 {
-		// One sorted copy serves every order statistic.
-		buf := sortedPool.Get().(*[]float64)
-		sorted := append((*buf)[:0], raw...)
-		sort.Float64s(sorted)
+		var sum float64
+		maxLat := raw[0]
+		for _, l := range raw {
+			sum += l
+			if l > maxLat {
+				maxLat = l
+			}
+		}
+		buf := scratchPool.Get().(*[]float64)
+		scratch := append((*buf)[:0], raw...)
 		res.MeanLatencyS = sum / float64(len(raw))
-		res.P95LatencyS = PercentileSorted(sorted, 0.95)
-		res.MaxLatencyS = sorted[len(sorted)-1]
-		*buf = sorted
-		sortedPool.Put(buf)
+		res.P95LatencyS = selectKth(scratch, percentileRank(len(scratch), 0.95))
+		res.MaxLatencyS = maxLat
+		*buf = scratch
+		scratchPool.Put(buf)
 	}
 	if o.keepLatencies && len(raw) > 0 {
 		// Publish an exact-size copy in completion order: the engine's
@@ -198,33 +204,94 @@ func runOne(s Scenario, o runOpts) (Result, *sim.Engine, rtm.PlanStats) {
 	return res, eng, mgr.PlanStats()
 }
 
-// PercentileSorted returns the p-quantile (true nearest-rank, rank =
-// ceil(n·p), 1-based, clamped to [1, n]) of samples that are already sorted
-// ascending — percentile without the per-quantile copy and sort, so
-// p50/p95/max reads off one sorted slice share a single sort.
-//
-// Nearest-rank never interpolates and never selects below the requested
-// coverage: the returned sample is ≥ at least ⌈n·p⌉ of the n samples. The
-// round-half-up rank this replaced (int(n·p+0.5)) under-selected whenever
-// n·p had a fractional part below one half — e.g. n=10, p=0.91 gave rank 9
-// where nearest-rank requires ⌈9.1⌉ = 10.
+// PercentileSorted returns the p-quantile (true nearest-rank, see
+// percentileRank) of samples that are already sorted ascending. The fleet
+// itself selects its order statistics with selectKth and never sorts; this
+// is the entry point for callers that sort once for several quantiles.
 func PercentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
+	return sorted[percentileRank(len(sorted), p)]
+}
+
+// percentileRank returns the 0-based index of the p-quantile of n > 0
+// samples in ascending order by true nearest rank: rank = ceil(n·p),
+// 1-based, clamped to [1, n].
+//
+// Nearest-rank never interpolates and never selects below the requested
+// coverage: the selected sample is ≥ at least ⌈n·p⌉ of the n samples. The
+// round-half-up rank this replaced (int(n·p+0.5)) under-selected whenever
+// n·p had a fractional part below one half — e.g. n=10, p=0.91 gave rank 9
+// where nearest-rank requires ⌈9.1⌉ = 10.
+func percentileRank(n int, p float64) int {
 	// The (1 - 1e-12) nudge absorbs representation dust in n·p: an exact
 	// integer product that lands a hair above its true value (9.1 is not
 	// representable; 10×0.91 evaluates to 9.099999…96, but 100×0.91 to
 	// 91.000000…1) must not ceil one rank too high.
-	np := float64(len(sorted)) * p
+	np := float64(n) * p
 	idx := int(math.Ceil(np*(1-1e-12))) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
+	if idx >= n {
+		idx = n - 1
 	}
-	return sorted[idx]
+	return idx
+}
+
+// selectKth partially reorders xs in place and returns the value a full
+// ascending sort would place at index k (0 ≤ k < len(xs)): one order
+// statistic in expected linear time, where sorting pays n·log n for the
+// same single read. xs must hold no NaN, which latencies never are.
+func selectKth(xs []float64, k int) float64 {
+	return introselect(xs, k, 2*bits.Len(uint(len(xs))))
+}
+
+// introselect is quickselect — median-of-three pivot, Hoare partition —
+// that gives up after budget partitioning rounds and sorts what is left of
+// the range holding k, so adversarial inputs cost at most O(n log n).
+func introselect(xs []float64, k, budget int) float64 {
+	lo, hi := 0, len(xs)-1 // inclusive bounds of the range holding k
+	for lo < hi {
+		if budget == 0 {
+			slices.Sort(xs[lo : hi+1])
+			break
+		}
+		budget--
+		// Order xs[lo] ≤ xs[mid] ≤ xs[hi] and partition around the median.
+		// mid < hi, so Hoare's scheme always splits into two non-empty
+		// parts and the range shrinks every round.
+		mid := lo + (hi-lo)/2
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[lo] {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		pivot := xs[mid]
+		i, j := lo-1, hi+1
+		for {
+			for i++; xs[i] < pivot; i++ {
+			}
+			for j--; xs[j] > pivot; j-- {
+			}
+			if i >= j {
+				break
+			}
+			xs[i], xs[j] = xs[j], xs[i]
+		}
+		// Now xs[lo..j] ≤ pivot ≤ xs[j+1..hi].
+		if k <= j {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+	}
+	return xs[k]
 }
 
 // Runner fans scenarios out over a bounded worker pool.

@@ -105,7 +105,8 @@ type StreamWriter struct {
 	hdr  StreamHeader
 	pols []string
 	next int
-	err  error // sticky: after a write error the stream is poisoned
+	err  error  // sticky: after a write error the stream is poisoned
+	line []byte // record encoding buffer, reused across Appends
 
 	sync      func() error // fsync of the underlying file, if it has one
 	syncEvery int          // fsync cadence in records; 0 = never
@@ -160,7 +161,9 @@ func newStreamWriterAt(w io.Writer, hdr StreamHeader, next int) *StreamWriter {
 // Append writes one completed result and flushes it to the underlying
 // writer, so the record survives the process being killed immediately
 // after. Records must arrive in scenario-index order (Runner.OnResult
-// delivers exactly that) and must belong to the header's run.
+// delivers exactly that) and must belong to the header's run. The record
+// line is json.Marshal's encoding of r, built by appendResult in a buffer
+// the writer reuses.
 func (sw *StreamWriter) Append(r Result) error {
 	if sw.err != nil {
 		return sw.err
@@ -174,11 +177,12 @@ func (sw *StreamWriter) Append(r Result) error {
 	if err := validateResultAt(sw.hdr.Config.Seed, sw.pols, r, sw.next); err != nil {
 		return err
 	}
-	line, err := json.Marshal(r)
+	line, err := appendResult(sw.line[:0], r)
 	if err != nil {
 		return err
 	}
-	if _, err := sw.w.Write(append(line, '\n')); err != nil {
+	sw.line = append(line, '\n')
+	if _, err := sw.w.Write(sw.line); err != nil {
 		sw.err = err
 		return err
 	}
@@ -268,7 +272,7 @@ func (sr *StreamReader) Read() (Result, error) {
 		return Result{}, fmt.Errorf("fleet: stream [%d,%d) carries records beyond its range", sr.hdr.Lo, sr.hdr.Hi)
 	}
 	var r Result
-	if err := json.Unmarshal(line, &r); err != nil {
+	if err := decodeResult(line, &r); err != nil {
 		return Result{}, fmt.Errorf("fleet: decoding stream record %d: %w", sr.next, err)
 	}
 	if err := validateResultAt(sr.hdr.Config.Seed, sr.pols, r, sr.next); err != nil {
@@ -489,7 +493,7 @@ func replayStream(f *os.File, want StreamHeader) ([]Result, int64, error) {
 			return nil, 0, err
 		}
 		var r Result
-		if err := json.Unmarshal(line, &r); err != nil {
+		if err := decodeResult(line, &r); err != nil {
 			// A garbled line mid-file: everything from here on is
 			// untrustworthy. Truncate and re-run from this scenario — the
 			// re-run reproduces the discarded records bit-identically.
