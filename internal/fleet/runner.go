@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/rtm"
 	"github.com/emlrtm/emlrtm/internal/sim"
 	"github.com/emlrtm/emlrtm/internal/workload"
@@ -132,7 +131,7 @@ func runOne(s Scenario, o runOpts) (Result, *sim.Engine, rtm.PlanStats) {
 	if res.Policy == "" {
 		res.Policy = rtm.DefaultPolicy
 	}
-	plat := hw.Catalog()[s.Platform]
+	plat := catalog()[s.Platform]
 	if plat == nil {
 		res.Err = fmt.Sprintf("unknown platform %q", s.Platform)
 		return res, o.eng, rtm.PlanStats{}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/perf"
@@ -104,9 +105,15 @@ type Generator struct {
 	policies  []string
 }
 
+// catalog is the one platform catalog every generator, run and worker of
+// the fleet reads, built on first use. It is shared read-only: nothing in
+// sim, rtm or fleet writes a platform or cluster field, so concurrent
+// workers need no copies (TestSharedCatalogReadOnly pins this).
+var catalog = sync.OnceValue(hw.Catalog)
+
 // NewGenerator validates the config against the platform catalog.
 func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
-	cat := hw.Catalog()
+	cat := catalog()
 	if cfg.MinDurationS == 0 {
 		cfg.MinDurationS = 20
 	}
@@ -253,7 +260,7 @@ func (g *Generator) generateOne(id int, rng *rand.Rand) Scenario {
 	rng.Seed(int64(seed))
 	class := g.classes[rng.Intn(len(g.classes))]
 	platName := g.platforms[rng.Intn(len(g.platforms))]
-	plat := hw.Catalog()[platName]
+	plat := catalog()[platName]
 
 	s := Scenario{
 		ID:       id,

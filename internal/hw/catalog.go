@@ -54,11 +54,20 @@ func rangeOPPs(fMin, fMax, step, v0, v1, v2 float64) []OPP {
 	return opps
 }
 
+// withScaleTables fills every cluster's core-scaling table (see
+// Cluster.EffectiveRate) and returns p.
+func withScaleTables(p *Platform) *Platform {
+	for _, c := range p.Clusters {
+		c.fillScale()
+	}
+	return p
+}
+
 // OdroidXU3 models the paper's primary evaluation board (Exynos 5422):
 // 4×A15 with 17 DVFS levels (200–1800 MHz) and 4×A7 with 12 levels
 // (200–1300 MHz) — the exact ladder counts used in Fig 4(a).
 func OdroidXU3() *Platform {
-	return &Platform{
+	return withScaleTables(&Platform{
 		Name:     "odroid-xu3",
 		AmbientC: 25,
 		Thermal: ThermalParams{
@@ -89,13 +98,13 @@ func OdroidXU3() *Platform {
 				FixedOverheadS:    0.005,
 			},
 		},
-	}
+	})
 }
 
 // JetsonNano models the paper's second Table I platform: a Maxwell GPU
 // plus a 4×A57 CPU cluster.
 func JetsonNano() *Platform {
-	return &Platform{
+	return withScaleTables(&Platform{
 		Name:     "jetson-nano",
 		AmbientC: 25,
 		Thermal: ThermalParams{
@@ -137,7 +146,7 @@ func JetsonNano() *Platform {
 				FixedOverheadS:    0.0062,
 			},
 		},
-	}
+	})
 }
 
 // FlagshipSoC is a representative phone SoC in the spirit of the paper's
@@ -147,7 +156,7 @@ func JetsonNano() *Platform {
 // capability ordering NPU ≫ GPU ≫ big CPU ≫ LITTLE CPU that the Fig 2
 // scenario depends on.
 func FlagshipSoC() *Platform {
-	return &Platform{
+	return withScaleTables(&Platform{
 		Name:     "flagship-soc",
 		AmbientC: 25,
 		Thermal: ThermalParams{
@@ -213,10 +222,13 @@ func FlagshipSoC() *Platform {
 				MemBytes:          8 << 20, // 8 MiB on-chip model memory
 			},
 		},
-	}
+	})
 }
 
-// Catalog returns all built-in platforms keyed by name.
+// Catalog returns all built-in platforms keyed by name. Every call builds
+// fresh, mutable copies, so callers may edit what they get. The fleet
+// layer instead builds one set and shares it read-only across its runs
+// and workers.
 func Catalog() map[string]*Platform {
 	out := map[string]*Platform{}
 	for _, p := range []*Platform{OdroidXU3(), JetsonNano(), FlagshipSoC()} {

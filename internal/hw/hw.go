@@ -73,7 +73,9 @@ type Cluster struct {
 	// the whole cluster per GHz of clock, fitted from Table I latencies.
 	RateMACsPerSecGHz float64
 	// ParallelAlpha is the core-scaling exponent: allocating n of Cores
-	// cores yields (n/Cores)^ParallelAlpha of the cluster rate.
+	// cores yields (n/Cores)^ParallelAlpha of the cluster rate. Catalog
+	// clusters precompute that fraction per n (see EffectiveRate); the
+	// field stays writable, and a changed value bypasses the table.
 	ParallelAlpha float64
 	// FixedOverheadS is per-inference fixed time (pre/post-processing).
 	FixedOverheadS float64
@@ -86,6 +88,31 @@ type Cluster struct {
 	// MemBytes is accelerator-local memory (NPU SRAM); 0 means the
 	// cluster uses shared DRAM with no co-location capacity constraint.
 	MemBytes int64
+
+	// scale[n] caches (n/scaleCores)^scaleAlpha for n = 1..scaleCores,
+	// filled by fillScale. A fixed array, so building a cluster costs no
+	// extra allocation; scaleCores == 0 means no table.
+	scale      [maxScaleCores + 1]float64
+	scaleCores int
+	scaleAlpha float64
+}
+
+// maxScaleCores is the largest core count fillScale tabulates: the
+// catalog's largest cluster. Bigger clusters always take EffectiveRate's
+// math.Pow path.
+const maxScaleCores = 4
+
+// fillScale tabulates the core-scaling fraction for the cluster's current
+// Cores and ParallelAlpha, recording both so EffectiveRate can tell when
+// the table no longer describes the cluster.
+func (c *Cluster) fillScale() {
+	if c.Cores < 1 || c.Cores > maxScaleCores {
+		return
+	}
+	for n := 1; n <= c.Cores; n++ {
+		c.scale[n] = math.Pow(float64(n)/float64(c.Cores), c.ParallelAlpha)
+	}
+	c.scaleCores, c.scaleAlpha = c.Cores, c.ParallelAlpha
 }
 
 // Validate reports structural errors in the cluster description.
@@ -146,6 +173,16 @@ func (c *Cluster) NearestOPPIndex(fGHz float64) int {
 
 // EffectiveRate returns the MAC/s throughput when n of the cluster's cores
 // run at the given OPP. Accelerators always use n == Cores.
+//
+// The core-scaling fraction (n/Cores)^ParallelAlpha comes from the table
+// the catalog constructors fill, but only while the Cores and
+// ParallelAlpha it was built for still equal the cluster's fields;
+// otherwise (a hand-built cluster, more than maxScaleCores cores, or a
+// field changed after construction) it is computed with math.Pow. The
+// table holds the result of that same expression on the same inputs, so
+// both paths return identical bits.
+//
+//detlint:hotpath
 func (c *Cluster) EffectiveRate(opp OPP, n int) float64 {
 	if n < 1 {
 		return 0
@@ -153,7 +190,12 @@ func (c *Cluster) EffectiveRate(opp OPP, n int) float64 {
 	if n > c.Cores {
 		n = c.Cores
 	}
-	frac := math.Pow(float64(n)/float64(c.Cores), c.ParallelAlpha)
+	var frac float64
+	if c.scaleCores != 0 && c.scaleCores == c.Cores && c.scaleAlpha == c.ParallelAlpha {
+		frac = c.scale[n]
+	} else {
+		frac = math.Pow(float64(n)/float64(c.Cores), c.ParallelAlpha)
+	}
 	return c.RateMACsPerSecGHz * opp.FreqGHz * frac
 }
 

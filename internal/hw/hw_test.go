@@ -136,6 +136,45 @@ func TestEffectiveRateScaling(t *testing.T) {
 	if c.EffectiveRate(opp, 9) != full {
 		t.Fatal("core count must clamp to cluster size")
 	}
+
+	// The scaling table must reproduce math.Pow bit for bit on every
+	// catalog cluster and core count, and the guard must route a cluster
+	// the table no longer describes back to math.Pow.
+	want := func(c *Cluster, opp OPP, n int) float64 {
+		return c.RateMACsPerSecGHz * opp.FreqGHz * math.Pow(float64(n)/float64(c.Cores), c.ParallelAlpha)
+	}
+	check := func(what string, c *Cluster) {
+		t.Helper()
+		for _, opp := range c.OPPs {
+			for n := 1; n <= c.Cores; n++ {
+				if got, w := c.EffectiveRate(opp, n), want(c, opp, n); math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("%s: EffectiveRate(%g GHz, %d) = %v, math.Pow gives %v", what, opp.FreqGHz, n, got, w)
+				}
+			}
+			if c.EffectiveRate(opp, 0) != 0 || c.EffectiveRate(opp, -1) != 0 {
+				t.Fatalf("%s: n < 1 must have 0 rate", what)
+			}
+			if c.EffectiveRate(opp, c.Cores+1) != c.EffectiveRate(opp, c.Cores) {
+				t.Fatalf("%s: core count must clamp to cluster size", what)
+			}
+		}
+	}
+	for name, p := range Catalog() {
+		for _, c := range p.Clusters {
+			if c.scaleCores != c.Cores {
+				t.Fatalf("%s/%s: %d-core catalog cluster has no scaling table (maxScaleCores %d)", name, c.Name, c.Cores, maxScaleCores)
+			}
+			check(name+"/"+c.Name, c)
+		}
+	}
+	handBuilt := &Cluster{Name: "hand", Cores: 6, OPPs: []OPP{{FreqGHz: 1, VoltageV: 1}}, RateMACsPerSecGHz: 3e6, ParallelAlpha: 0.8}
+	check("hand-built", handBuilt)
+	moreCores := OdroidXU3().Cluster("a15")
+	moreCores.Cores = 6
+	check("cores changed", moreCores)
+	newAlpha := OdroidXU3().Cluster("a15")
+	newAlpha.ParallelAlpha = 0.7
+	check("alpha changed", newAlpha)
 }
 
 func TestBusyPowerProperties(t *testing.T) {

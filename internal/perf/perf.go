@@ -63,6 +63,8 @@ func (p ModelProfile) MaxLevel() int { return p.Levels[len(p.Levels)-1].Level }
 
 // InferenceLatencyS returns the latency of one inference of `macs` MACs on
 // n cores of cluster c at the given OPP.
+//
+//detlint:hotpath
 func InferenceLatencyS(c *hw.Cluster, opp hw.OPP, n int, macs int64) float64 {
 	rate := c.EffectiveRate(opp, n)
 	if rate <= 0 {
