@@ -352,33 +352,15 @@ func FleetShardRange(total, index, count int) (lo, hi int) {
 	return fleet.ShardRange(total, index, count)
 }
 
-// RunFleetShard runs shard index (0-based) of count over a
-// total-scenario fleet; merging every shard with MergeFleetShards is
-// byte-identical to RunFleet over the same config and total.
-func RunFleetShard(cfg FleetGeneratorConfig, total, index, count, workers int) (FleetShardResult, error) {
-	return fleet.RunShard(cfg, total, index, count, workers)
-}
-
-// WriteFleetShard validates the shard and writes it as indented JSON.
-func WriteFleetShard(w io.Writer, s FleetShardResult) error {
-	return fleet.WriteShard(w, s)
-}
-
-// ReadFleetShard decodes one shard file — plain or gzipped, sniffed by
-// magic number — validating the format version, index range, per-scenario
-// seed derivation and policy assignment.
+// ReadFleetShard reads one complete shard result stream — plain or
+// gzipped, sniffed by magic number — validating the format version, index
+// range, per-scenario seed derivation and policy assignment.
 func ReadFleetShard(r io.Reader) (FleetShardResult, error) {
 	return fleet.ReadShard(r)
 }
 
-// WriteFleetShardFile writes a shard to path, gzip-compressed when the
-// path ends in ".gz".
-func WriteFleetShardFile(path string, s FleetShardResult) error {
-	return fleet.WriteShardFile(path, s)
-}
-
-// ReadFleetShardFile reads and validates one shard file from disk, plain
-// or gzipped.
+// ReadFleetShardFile reads and validates one shard stream file from disk,
+// plain or gzipped.
 func ReadFleetShardFile(path string) (FleetShardResult, error) {
 	return fleet.ReadShardFile(path)
 }
@@ -426,19 +408,15 @@ func NewFleetStreamReader(r io.Reader) (*FleetStreamReader, error) {
 	return fleet.NewStreamReader(r)
 }
 
-// ReadFleetStream reads a complete shard result stream and converts it to
-// the equivalent FleetShardResult; ReadFleetShard and ReadFleetShardFile
-// perform the same conversion automatically when handed a stream.
-func ReadFleetStream(r io.Reader) (FleetShardResult, error) {
-	return fleet.ReadStream(r)
-}
-
-// ResumeFleetShard runs shard index/count of a fleet, streaming each
-// completed result to the NDJSON file at path. An existing partial stream
+// ResumeFleetShard runs shard index (0-based) of count over a
+// total-scenario fleet, streaming each completed result to the NDJSON file
+// at path; it is the one way to write a shard. An existing partial stream
 // — say, from a killed process — is validated against cfg, its intact
 // records are kept, any torn trailing line is truncated, and only the
 // missing scenarios run. The returned shard is byte-identical to an
-// uninterrupted RunFleetShard of the same range.
+// uninterrupted run of the same range, and merging every shard with
+// MergeFleetShards is byte-identical to RunFleet over the same config and
+// total.
 func ResumeFleetShard(path string, cfg FleetGeneratorConfig, total, index, count, workers int) (FleetShardResult, error) {
 	return fleet.ResumeShard(path, cfg, total, index, count, workers)
 }

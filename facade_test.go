@@ -6,6 +6,7 @@ package emlrtm
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -184,22 +185,24 @@ func TestFacadeGovernorBaseline(t *testing.T) {
 }
 
 func TestFacadeShardedFleet(t *testing.T) {
-	// The distributed-fleet workflow end to end through the facade: run
-	// shards independently, round-trip one through the file encoding,
-	// merge, and match the single-process report byte for byte.
+	// The distributed-fleet workflow end to end through the facade: stream
+	// shards independently, read each stream file back, merge, and match
+	// the single-process report byte for byte.
 	cfg := FleetGeneratorConfig{Seed: 21}
 	const total = 6
+	dir := t.TempDir()
 	var shards []FleetShardResult
 	for i := 0; i < 2; i++ {
-		s, err := RunFleetShard(cfg, total, i, 2, 2)
+		path := filepath.Join(dir, FleetStreamFileName(i, 2))
+		if _, err := ResumeFleetShard(path, cfg, total, i, 2, 2); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := WriteFleetShard(&buf, s); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadFleetShard(&buf)
+		back, err := ReadFleetShard(f)
+		f.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

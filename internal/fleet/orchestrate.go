@@ -29,7 +29,7 @@ type ShardProcess interface {
 
 // OrchestratorConfig parametrises Orchestrate.
 type OrchestratorConfig struct {
-	// Config and Workloads define the fleet, exactly as in Run/RunShard.
+	// Config and Workloads define the fleet, exactly as in Run/ResumeShard.
 	Config    GeneratorConfig
 	Workloads int
 	// Shards is how many shard processes partition the fleet.

@@ -228,7 +228,7 @@ func fakeSweepShard(cfg GeneratorConfig, total, lo, hi int) ShardResult {
 
 // TestSweepShardEquivalence: sharding a policy sweep and merging must be
 // byte-identical to the single-process sweep — including the ByPolicy
-// section — with shards round-tripped through gzipped files.
+// section — with shards round-tripped through stream files.
 func TestSweepShardEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 16 scenarios")
@@ -244,12 +244,8 @@ func TestSweepShardEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	read := make([]ShardResult, 0, shards)
 	for i := 0; i < shards; i++ {
-		s, err := RunShard(cfg, workloads, i, shards, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, "shard.json.gz")
-		if err := WriteShardFile(path, s); err != nil {
+		path := filepath.Join(dir, StreamFileName(i, shards))
+		if _, err := ResumeShard(path, cfg, workloads, i, shards, 2); err != nil {
 			t.Fatal(err)
 		}
 		back, err := ReadShardFile(path)
@@ -277,26 +273,26 @@ func TestSweepShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestGzipShardFiles: the .gz path must round-trip bit-identically, sniff
-// transparently on read, and actually shrink the file (Latencies dominate
-// shard bytes and compress well).
+// TestGzipShardFiles: a finished stream gzipped after the run must
+// round-trip bit-identically, sniff transparently on read, and actually
+// shrink the file (Latencies dominate shard bytes and compress well).
 func TestGzipShardFiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 2 scenarios")
 	}
 	cfg := GeneratorConfig{Seed: 8, Platforms: []string{"odroid-xu3"}, Classes: []Class{ClassSteady}}
-	s, err := RunShard(cfg, 2, 0, 1, 2)
+	dir := t.TempDir()
+	plain := filepath.Join(dir, "shard.ndjson")
+	s, err := ResumeShard(plain, cfg, 2, 0, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	dir := t.TempDir()
-	plain := filepath.Join(dir, "shard.json")
-	zipped := filepath.Join(dir, "shard.json.gz")
-	if err := WriteShardFile(plain, s); err != nil {
+	stream, err := os.ReadFile(plain)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteShardFile(zipped, s); err != nil {
+	zipped := plain + ".gz"
+	if err := os.WriteFile(zipped, gzipBytes(t, stream), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,17 +1,11 @@
 package fleet
 
 import (
-	"bufio"
-	"compress/gzip"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"reflect"
 	"sort"
-	"strings"
-
-	"github.com/emlrtm/emlrtm/internal/atomicfile"
 )
 
 // ShardFormatVersion is the current shard-file format. ReadShard rejects
@@ -106,124 +100,24 @@ func ShardRange(total, index, count int) (lo, hi int) {
 	return index * total / count, (index + 1) * total / count
 }
 
-// RunShard generates and runs shard index (0-based) of count over a fleet
-// of total workloads (total × P scenario runs when the config sweeps P
-// policies). The returned ShardResult is ready to write with WriteShard
-// and merge with Merge; running every shard and merging is byte-identical
-// to a single-process Run over the same config and total.
-func RunShard(cfg GeneratorConfig, total, index, count, workers int) (ShardResult, error) {
-	return (&Runner{Workers: workers}).RunShard(cfg, total, index, count)
-}
-
-// RunShard is RunShard with the caller's Runner, so pool size and the
-// Progress callback carry over. It is the single place a ShardResult is
-// assembled: every writer fills the same header the same way.
-func (r *Runner) RunShard(cfg GeneratorConfig, total, index, count int) (ShardResult, error) {
-	if total <= 0 {
-		return ShardResult{}, fmt.Errorf("fleet: scenario count %d must be positive", total)
-	}
-	if count < 1 || index < 0 || index >= count {
-		return ShardResult{}, fmt.Errorf("fleet: shard index %d of %d out of range", index, count)
-	}
-	gen, err := NewGenerator(cfg)
-	if err != nil {
-		return ShardResult{}, err
-	}
-	runs := gen.RunCount(total)
-	lo, hi := ShardRange(runs, index, count)
-	return ShardResult{
-		FormatVersion: ShardFormatVersion,
-		Config:        cfg,
-		Total:         runs,
-		Lo:            lo,
-		Hi:            hi,
-		Results:       r.Run(gen.GenerateRange(lo, hi)),
-	}, nil
-}
-
-// WriteShard validates the shard and writes it as indented JSON. Result
-// float fields (including the raw Latencies samples that Aggregate pools
-// for percentiles) are encoded with Go's shortest-round-trip formatting,
-// so a written-then-read shard is bit-identical to the in-memory one.
-func WriteShard(w io.Writer, s ShardResult) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// sniffGzip wraps br in a gzip reader when the input starts with the gzip
-// magic number, so shard and stream readers accept either form without
-// being told how the file was written. The returned closer is non-nil only
-// for compressed input.
-func sniffGzip(br *bufio.Reader) (io.Reader, io.Closer, error) {
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: decompressing shard: %w", err)
-		}
-		return zr, zr, nil
-	}
-	return br, nil, nil
-}
-
-// ReadShard decodes and validates one shard file, transparently
-// decompressing gzip input (sniffed by magic number, so readers need not
-// know how a shard was written) and accepting both encodings: the classic
-// one-document JSON shard and the NDJSON result stream a crash-resumable
-// shard process appends (sniffed by the stream header's leading bytes). A
-// stream is accepted only when complete — every scenario in its range
-// present — so a partial stream can never slip into a merge. Validation on
-// read means a merge fails at the offending file with a
-// seed/range/version message, not downstream with a silently wrong report.
+// ReadShard reads and validates one complete shard result stream,
+// transparently decompressing gzip input (sniffed by magic number, so a
+// finished stream archived with gzip reads like a plain one). A stream is
+// accepted only when complete — every scenario in its range present — so a
+// partial stream can never slip into a merge. Validation on read means a
+// merge fails at the offending file with a seed/range/version message, not
+// downstream with a silently wrong report.
 func ReadShard(r io.Reader) (ShardResult, error) {
-	br := bufio.NewReader(r)
-	src, closer, err := sniffGzip(br)
+	sr, err := NewStreamReader(r)
 	if err != nil {
 		return ShardResult{}, err
 	}
-	if closer != nil {
-		defer closer.Close()
-	}
-	bsrc := bufio.NewReader(src)
-	if p, err := bsrc.Peek(len(streamPrefix)); err == nil && string(p) == streamPrefix {
-		return readStreamShard(bsrc)
-	}
-	var s ShardResult
-	if err := json.NewDecoder(bsrc).Decode(&s); err != nil {
-		return ShardResult{}, fmt.Errorf("fleet: decoding shard: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return ShardResult{}, err
-	}
-	return s, nil
+	return sr.readAll()
 }
 
-// WriteShardFile writes a shard to path, gzip-compressed when the path
-// ends in ".gz" (raw Latencies samples dominate shard bytes and compress
-// several-fold). ReadShardFile — or any ReadShard — accepts either form.
-// The write is atomic (temp file + rename): a process killed mid-write
-// leaves the previous file or nothing, never a truncated shard that would
-// poison a later merge or resume.
-func WriteShardFile(path string, s ShardResult) error {
-	return atomicfile.WriteFile(path, func(w io.Writer) error {
-		if strings.HasSuffix(path, ".gz") {
-			zw := gzip.NewWriter(w)
-			if err := WriteShard(zw, s); err != nil {
-				zw.Close()
-				return err
-			}
-			return zw.Close()
-		}
-		return WriteShard(w, s)
-	})
-}
-
-// ReadShardFile reads and validates one shard file from disk — plain or
-// gzipped, classic JSON or a complete NDJSON stream. Errors name the file:
-// a corrupt shard in a hundred-file merge must point at itself.
+// ReadShardFile reads and validates one shard stream file from disk, plain
+// or gzipped. Errors name the file: a corrupt shard in a hundred-file merge
+// must point at itself.
 func ReadShardFile(path string) (ShardResult, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -250,11 +144,15 @@ func Merge(shards ...ShardResult) (Report, []Result, error) {
 	ordered := append([]ShardResult(nil), shards...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Lo < ordered[j].Lo })
 
-	first := ordered[0]
+	// n counts the results in hand: the merged slice is sized from them,
+	// never from header fields, so a shard claiming a huge fleet fails the
+	// coverage check below instead of allocating for it.
+	first, n := ordered[0], 0
 	for _, s := range ordered {
 		if err := s.Validate(); err != nil {
 			return Report{}, nil, err
 		}
+		n += len(s.Results)
 		if s.Config.Seed != first.Config.Seed {
 			return Report{}, nil, fmt.Errorf("fleet: shard seed mismatch: shard [%d,%d) has seed %d, shard [%d,%d) has seed %d",
 				first.Lo, first.Hi, first.Config.Seed, s.Lo, s.Hi, s.Config.Seed)
@@ -268,7 +166,7 @@ func Merge(shards ...ShardResult) (Report, []Result, error) {
 		}
 	}
 
-	results := make([]Result, 0, first.Total)
+	results := make([]Result, 0, n)
 	next := 0
 	for _, s := range ordered {
 		switch {

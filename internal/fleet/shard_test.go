@@ -2,10 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -69,7 +72,7 @@ func TestShardRangePartitions(t *testing.T) {
 // TestShardEquivalenceProperty is the distributed layer's core contract:
 // across randomized seeds, fleet sizes, shard splits (1-5 shards with
 // uneven boundaries) and worker counts, running shards in separate
-// runners, round-tripping each through the shard-file encoding, and
+// runners, round-tripping each through the shard stream encoding, and
 // merging must reproduce the single-process report and results
 // byte-for-byte (compared via JSON, so every exported field — including
 // the pooled Latencies — participates).
@@ -118,13 +121,9 @@ func TestShardEquivalenceProperty(t *testing.T) {
 				Hi:            hi,
 				Results:       runner.Run(gen.GenerateRange(lo, hi)),
 			}
-			// Round-trip through the file encoding: merged results must be
-			// built from what a reader decodes, not from in-memory state.
-			var buf bytes.Buffer
-			if err := WriteShard(&buf, s); err != nil {
-				t.Fatalf("trial %d: WriteShard [%d,%d): %v", trial, lo, hi, err)
-			}
-			back, err := ReadShard(&buf)
+			// Round-trip through the stream encoding: merged results must
+			// be built from what a reader decodes, not from in-memory state.
+			back, err := ReadShard(bytes.NewReader(writeStream(t, s, false)))
 			if err != nil {
 				t.Fatalf("trial %d: ReadShard [%d,%d): %v", trial, lo, hi, err)
 			}
@@ -264,11 +263,7 @@ func TestShardValidate(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
 		}
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(tc.shard); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadShard(&buf); err == nil {
+		if _, err := ReadShard(bytes.NewReader(rawStream(tc.shard))); err == nil {
 			t.Errorf("%s: ReadShard accepted what Validate rejects", tc.name)
 		}
 	}
@@ -279,6 +274,56 @@ func TestShardValidate(t *testing.T) {
 	if _, err := ReadShard(strings.NewReader("{not json")); err == nil {
 		t.Error("ReadShard accepted malformed JSON")
 	}
+
+	// A classic indented-JSON shard document, as older releases wrote it,
+	// is refused with the one not-a-stream error.
+	var classic bytes.Buffer
+	enc := json.NewEncoder(&classic)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(fakeShard(cfg, 4, 0, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadShard(&classic); err == nil || !strings.Contains(err.Error(), "no longer read") {
+		t.Errorf("classic shard error = %v, want the not-a-stream error", err)
+	}
+}
+
+// rawStream encodes s as a stream without the writer's validation, so a
+// test can put a shard that Validate rejects on the wire.
+func rawStream(s ShardResult) []byte {
+	hdr, _ := json.Marshal(StreamHeader{Stream: streamMagic, FormatVersion: s.FormatVersion,
+		Config: s.Config, Total: s.Total, Lo: s.Lo, Hi: s.Hi})
+	out := append(hdr, '\n')
+	for _, r := range s.Results {
+		rec, _ := json.Marshal(r)
+		out = append(append(out, rec...), '\n')
+	}
+	return out
+}
+
+// TestReadShardHugeHeaders: a lone header line claiming an enormous fleet
+// must fail with an error — from ReadShard and from Merge — not panic or
+// run out of memory sizing a slice from its claim.
+func TestReadShardHugeHeaders(t *testing.T) {
+	for _, rng := range [][3]int{
+		{1_000_000_000_000, 0, 1_000_000_000_000},
+		{100_000_000, 0, 100_000_000},
+		{1_000_000_000_000, 0, 0},
+	} {
+		total, lo, hi := rng[0], rng[1], rng[2]
+		raw := fmt.Sprintf(`{"stream":"%s","formatVersion":%d,"config":{"seed":1},"total":%d,"lo":%d,"hi":%d}`+"\n",
+			streamMagic, ShardFormatVersion, total, lo, hi)
+		s, err := ReadShard(strings.NewReader(raw))
+		if err != nil {
+			if !strings.Contains(err.Error(), "incomplete") {
+				t.Errorf("[%d,%d) of %d: ReadShard error %q, want incompleteness complaint", lo, hi, total, err)
+			}
+			continue
+		}
+		if _, _, err := Merge(s); err == nil || !strings.Contains(err.Error(), "coverage gap") {
+			t.Errorf("[%d,%d) of %d: Merge error = %v, want coverage gap", lo, hi, total, err)
+		}
+	}
 }
 
 // TestReadShardFileCorrupt: damaged shard files must fail loudly with the
@@ -287,15 +332,9 @@ func TestReadShardFileCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	shard := fakeShard(GeneratorConfig{Seed: 5}, 8, 0, 4)
 
-	// A gzip shard cut off mid-stream: write a valid file, keep half.
-	truncated := filepath.Join(dir, "truncated.json.gz")
-	if err := WriteShardFile(truncated, shard); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(truncated)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A gzipped stream cut off mid-file: compress a valid stream, keep half.
+	truncated := filepath.Join(dir, "truncated.ndjson.gz")
+	data := gzipBytes(t, writeStream(t, shard, false))
 	if err := os.WriteFile(truncated, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -330,57 +369,64 @@ func TestReadShardFileCorrupt(t *testing.T) {
 	}
 }
 
-// TestWriteShardFileAtomic: a failed write must leave any existing file
-// untouched and no temp litter behind.
-func TestWriteShardFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "shard.json")
-	good := fakeShard(GeneratorConfig{Seed: 5}, 8, 0, 4)
-	if err := WriteShardFile(path, good); err != nil {
-		t.Fatal(err)
+// TestResumeShardBounds covers ResumeShard argument validation: a bad
+// request fails before the stream file is created.
+func TestResumeShardBounds(t *testing.T) {
+	cfg := GeneratorConfig{Seed: 1}
+	path := filepath.Join(t.TempDir(), "shard.ndjson")
+	cases := []struct {
+		name                string
+		cfg                 GeneratorConfig
+		total, index, count int
+	}{
+		{"zero total", cfg, 0, 0, 1},
+		{"index >= count", cfg, 4, 2, 2},
+		{"negative index", cfg, 4, -1, 2},
+		{"zero count", cfg, 4, 0, 0},
+		{"invalid generator config", GeneratorConfig{Platforms: []string{"nope"}}, 4, 0, 2},
 	}
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		if _, err := ResumeShard(path, tc.cfg, tc.total, tc.index, tc.count, 1); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
-
-	bad := fakeShard(GeneratorConfig{Seed: 5}, 8, 0, 4)
-	bad.Hi = 99 // fails Validate inside WriteShard
-	if err := WriteShardFile(path, bad); err == nil {
-		t.Fatal("invalid shard written")
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Error("failed write clobbered the existing shard file")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("failed write left %d entries in the directory, want just the original", len(entries))
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("rejected requests left a stream file behind (stat: %v)", err)
 	}
 }
 
-// TestRunShardBounds covers RunShard argument validation.
-func TestRunShardBounds(t *testing.T) {
-	cfg := GeneratorConfig{Seed: 1}
-	if _, err := RunShard(cfg, 0, 0, 1, 1); err == nil {
-		t.Error("zero total accepted")
-	}
-	if _, err := RunShard(cfg, 4, 2, 2, 1); err == nil {
-		t.Error("index >= count accepted")
-	}
-	if _, err := RunShard(cfg, 4, -1, 2, 1); err == nil {
-		t.Error("negative index accepted")
-	}
-	if _, err := RunShard(cfg, 4, 0, 0, 1); err == nil {
-		t.Error("zero count accepted")
-	}
-	if _, err := RunShard(GeneratorConfig{Platforms: []string{"nope"}}, 4, 0, 2, 1); err == nil {
-		t.Error("invalid generator config accepted")
-	}
+// FuzzReadShard: ReadShard never panics on arbitrary bytes, plain or
+// gzipped. What it accepts validates and merges without panicking, and
+// gzipping the input does not change the verdict. The committed corpus
+// holds huge-range headers, a classic JSON shard, a torn gzip stream, CRLF
+// line endings and a trailing blank line.
+func FuzzReadShard(f *testing.F) {
+	f.Add(rawStream(fakeShard(GeneratorConfig{Seed: 5}, 1, 0, 1)))
+	// One writer, reset per input: a fresh gzip.Writer costs most of an
+	// exec, and the fuzzer runs inputs one at a time.
+	var zbuf bytes.Buffer
+	zw, _ := gzip.NewWriterLevel(&zbuf, gzip.NoCompression)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ReadShard(bytes.NewReader(data))
+		if err == nil {
+			if verr := s.Validate(); verr != nil {
+				t.Fatalf("ReadShard accepted a shard Validate rejects: %v", verr)
+			}
+			Merge(s) // full coverage or not, it must return, not panic
+		}
+		zbuf.Reset()
+		zw.Reset(&zbuf)
+		zw.Write(data)
+		zw.Close()
+		z, zerr := ReadShard(&zbuf)
+		if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
+			return // already gzip: compressing it again hides the stream
+		}
+		if (err == nil) != (zerr == nil) {
+			t.Fatalf("plain verdict %v, gzipped verdict %v", err, zerr)
+		}
+		if err == nil && !reflect.DeepEqual(s, z) {
+			t.Fatal("gzipped input read back a different shard")
+		}
+	})
 }

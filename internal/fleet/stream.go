@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"bufio"
+	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,19 +12,19 @@ import (
 	"reflect"
 )
 
-// A shard result stream is the crash-resumable encoding of a ShardResult:
-// one NDJSON header line followed by one line per completed scenario, in
-// ascending scenario-index order, each flushed as it completes. A process
-// killed at any point leaves a prefix of the stream on disk; ResumeShard
-// replays that prefix and re-runs only the missing range. A complete
-// stream converts losslessly into a ShardResult (ReadShard sniffs and
-// accepts it), so Merge and the golden report are untouched by how a shard
-// was produced — batch, streamed, crashed-and-resumed, or retried.
+// A shard result stream is the one on-disk encoding of a ShardResult: one
+// NDJSON header line followed by one line per completed scenario, in
+// ascending scenario-index order, each flushed as it completes. ResumeShard
+// is its only writer and StreamReader its only reader. A process killed at
+// any point leaves a prefix of the stream on disk; ResumeShard replays that
+// prefix and re-runs only the missing range. A complete stream converts
+// losslessly into a ShardResult (ReadShard), so Merge and the golden report
+// are untouched by how a shard was produced — in one go,
+// crashed-and-resumed, or retried.
 
 // streamMagic identifies a shard result stream. It is the value of the
 // header's first JSON key, so the opening bytes of a stream file are
-// constant and a reader can distinguish a stream from a classic shard
-// document by peeking.
+// constant and anything else is refused before it is parsed.
 const streamMagic = "emlrtm-fleet-shard"
 
 // streamPrefix is the byte prefix every stream file starts with:
@@ -217,26 +219,47 @@ type StreamReader struct {
 	hdr  StreamHeader
 	pols []string
 	next int
+	off  int64 // bytes read through the last intact record
 }
+
+// errNotStream is the one error for input that does not open with a stream
+// header — in particular the indented-JSON shard documents older releases
+// wrote, which are no longer read.
+var errNotStream = errors.New("fleet: not a shard result stream (classic JSON shard files are no longer read; re-run the shard with fleetsim -shard i/m -out F to write it as a stream)")
+
+// corruptRecordError is a record line torn mid-write or not decodable: what
+// a killed writer leaves at its crash point. ResumeShard truncates the
+// stream there; every other read error is a hard error.
+type corruptRecordError struct{ err error }
+
+func (e corruptRecordError) Error() string { return e.err.Error() }
+func (e corruptRecordError) Unwrap() error { return e.err }
 
 // NewStreamReader reads and validates the header line, transparently
 // decompressing gzip input (a finished stream may be archived compressed;
-// sniffed by magic number like ReadShard).
+// sniffed by magic number).
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	br := bufio.NewReader(r)
-	src, _, err := sniffGzip(br)
-	if err != nil {
-		return nil, err
+	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
+		zr, err := gzip.NewReader(br)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: decompressing shard: %w", err)
+		}
+		br = bufio.NewReader(zr)
 	}
-	return newStreamReader(bufio.NewReader(src))
+	return newStreamReader(br)
 }
 
-// newStreamReader is NewStreamReader past the gzip sniff; ReadShard calls
-// it directly after its own sniffing.
+// newStreamReader is NewStreamReader without the gzip sniff, for
+// ResumeShard, which appends to the raw file. An empty input or a header
+// torn mid-line fails wrapping io.EOF.
 func newStreamReader(br *bufio.Reader) (*StreamReader, error) {
 	line, err := br.ReadBytes('\n')
 	if err != nil {
 		return nil, fmt.Errorf("fleet: reading stream header: %w", err)
+	}
+	if !bytes.HasPrefix(line, []byte(streamPrefix)) {
+		return nil, errNotStream
 	}
 	var hdr StreamHeader
 	if err := json.Unmarshal(line, &hdr); err != nil {
@@ -246,7 +269,7 @@ func newStreamReader(br *bufio.Reader) (*StreamReader, error) {
 		return nil, err
 	}
 	pols, _ := resolvePolicies(hdr.Config.Policies) // validated with hdr
-	return &StreamReader{br: br, hdr: hdr, pols: pols, next: hdr.Lo}, nil
+	return &StreamReader{br: br, hdr: hdr, pols: pols, next: hdr.Lo, off: int64(len(line))}, nil
 }
 
 // Header returns the validated stream header.
@@ -263,47 +286,33 @@ func (sr *StreamReader) Read() (Result, error) {
 		if len(line) == 0 {
 			return Result{}, io.EOF
 		}
-		return Result{}, fmt.Errorf("fleet: stream record %d truncated mid-line: %w", sr.next, io.ErrUnexpectedEOF)
+		return Result{}, corruptRecordError{fmt.Errorf("fleet: stream record %d truncated mid-line: %w", sr.next, io.ErrUnexpectedEOF)}
 	}
 	if err != nil {
 		return Result{}, fmt.Errorf("fleet: reading stream record %d: %w", sr.next, err)
 	}
-	if sr.next >= sr.hdr.Hi {
-		return Result{}, fmt.Errorf("fleet: stream [%d,%d) carries records beyond its range", sr.hdr.Lo, sr.hdr.Hi)
-	}
 	var r Result
 	if err := decodeResult(line, &r); err != nil {
-		return Result{}, fmt.Errorf("fleet: decoding stream record %d: %w", sr.next, err)
+		return Result{}, corruptRecordError{fmt.Errorf("fleet: decoding stream record %d: %w", sr.next, err)}
+	}
+	if sr.next >= sr.hdr.Hi {
+		return Result{}, fmt.Errorf("fleet: stream [%d,%d) carries records beyond its range", sr.hdr.Lo, sr.hdr.Hi)
 	}
 	if err := validateResultAt(sr.hdr.Config.Seed, sr.pols, r, sr.next); err != nil {
 		return Result{}, err
 	}
 	sr.next++
+	sr.off += int64(len(line))
 	return r, nil
 }
 
-// ReadStream reads a complete stream and converts it into the equivalent
-// ShardResult. An incomplete stream — fewer records than the header's
-// range — is an error; resume it with ResumeShard instead.
-func ReadStream(r io.Reader) (ShardResult, error) {
-	sr, err := NewStreamReader(r)
-	if err != nil {
-		return ShardResult{}, err
-	}
-	return sr.readAll()
-}
-
-// readStreamShard is ReadStream past the gzip sniff, for ReadShard.
-func readStreamShard(br *bufio.Reader) (ShardResult, error) {
-	sr, err := newStreamReader(br)
-	if err != nil {
-		return ShardResult{}, err
-	}
-	return sr.readAll()
-}
-
+// readAll reads the remaining records of a complete stream into the
+// equivalent ShardResult. An incomplete stream — fewer records than the
+// header's range — is an error; resume it with ResumeShard instead. The
+// results slice grows with the records actually read: the header's range
+// is only a claim until they are.
 func (sr *StreamReader) readAll() (ShardResult, error) {
-	results := make([]Result, 0, sr.hdr.Hi-sr.hdr.Lo)
+	var results []Result
 	for {
 		r, err := sr.Read()
 		if errors.Is(err, io.EOF) {
@@ -340,17 +349,19 @@ func ResumeShard(path string, cfg GeneratorConfig, total, index, count, workers 
 	return (&Runner{Workers: workers}).ResumeShard(path, cfg, total, index, count)
 }
 
-// ResumeShard is the crash-resumable counterpart of RunShard: results
-// stream to path as NDJSON, flushed per scenario, so a process killed at
-// scenario k of its range restarts from k+1 — not from scratch. A missing
-// or empty path starts a fresh stream; an existing one must carry a header
-// matching the requested run (same seed, config, range, format version and
-// latency mode) and is replayed, validated record by record, before the
-// missing suffix is generated and run. A truncated final line — the usual
-// kill-mid-write artifact — is discarded and rewritten. The returned ShardResult
-// is identical to what RunShard would have produced in one uninterrupted
-// process, which is what keeps the merged report byte-identical no matter
-// how many times a shard crashed on the way.
+// ResumeShard generates and runs shard index (0-based) of count over a
+// fleet of total workloads (total × P scenario runs when the config sweeps
+// P policies). It is the one writer of shard files: results stream to path
+// as NDJSON, flushed per scenario, so a process killed at scenario k of its
+// range restarts from k+1 — not from scratch. A missing or empty path
+// starts a fresh stream; an existing one must carry a header matching the
+// requested run (same seed, config, range, format version and latency
+// mode) and is replayed, validated record by record, before the missing
+// suffix is generated and run. A truncated final line — the usual
+// kill-mid-write artifact — is discarded and rewritten. The returned
+// ShardResult is identical to one uninterrupted run of the range, which is
+// what keeps the merged report byte-identical to a single-process Run no
+// matter how many times a shard crashed on the way.
 func (r *Runner) ResumeShard(path string, cfg GeneratorConfig, total, index, count int) (ShardResult, error) {
 	if total <= 0 {
 		return ShardResult{}, fmt.Errorf("fleet: scenario count %d must be positive", total)
@@ -445,68 +456,35 @@ func (r *Runner) ResumeShard(path string, cfg GeneratorConfig, total, index, cou
 
 // replayStream reads an existing stream file from the start, returning the
 // intact completed results and the byte offset just past the last intact
-// line. A missing trailing newline or an unparsable final record marks the
-// crash point: replay stops there and the caller truncates. An empty file
-// — or one whose header line itself was torn mid-write — replays to
-// nothing (offset 0, full restart). A header that parses but does not
-// match the requested run is a hard error: the caller pointed resume at
-// the wrong file, and extending it would corrupt someone else's shard.
+// line. A torn or undecodable record marks the crash point: replay stops
+// there and the caller truncates; the re-run reproduces the discarded
+// records bit-identically. An empty file — or one whose header line itself
+// was torn mid-write — replays to nothing (offset 0, full restart). A
+// header that does not parse or does not match the requested run, and a
+// record that does not belong to it, are hard errors: the caller pointed
+// resume at the wrong file, and extending it would corrupt someone else's
+// shard.
 func replayStream(f *os.File, want StreamHeader) ([]Result, int64, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, 0, err
-	}
-	if fi.Size() == 0 {
-		return nil, 0, nil
-	}
-	br := bufio.NewReader(f)
-	line, err := br.ReadBytes('\n')
+	sr, err := newStreamReader(bufio.NewReader(f))
 	if errors.Is(err, io.EOF) {
-		// Torn header write: nothing trustworthy in the file.
 		return nil, 0, nil
 	}
 	if err != nil {
+		return nil, 0, fmt.Errorf("%w; refusing to overwrite it", err)
+	}
+	if err := sr.hdr.matches(want); err != nil {
 		return nil, 0, err
 	}
-	var hdr StreamHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		return nil, 0, fmt.Errorf("fleet: existing file is not a shard result stream (header: %v); refusing to overwrite it", err)
-	}
-	if err := hdr.validate(); err != nil {
-		return nil, 0, err
-	}
-	if err := hdr.matches(want); err != nil {
-		return nil, 0, err
-	}
-	pols, _ := resolvePolicies(want.Config.Policies) // validated via NewGenerator
-	offset := int64(len(line))
 	var results []Result
-	next := want.Lo
 	for {
-		line, err := br.ReadBytes('\n')
-		if errors.Is(err, io.EOF) {
-			// A partial trailing line (len > 0) is the crash point; either
-			// way replay is done.
-			return results, offset, nil
-		}
+		r, err := sr.Read()
 		if err != nil {
-			return nil, 0, err
-		}
-		var r Result
-		if err := decodeResult(line, &r); err != nil {
-			// A garbled line mid-file: everything from here on is
-			// untrustworthy. Truncate and re-run from this scenario — the
-			// re-run reproduces the discarded records bit-identically.
-			return results, offset, nil
-		}
-		if next >= want.Hi {
-			return nil, 0, fmt.Errorf("fleet: stream [%d,%d) carries records beyond its range", want.Lo, want.Hi)
-		}
-		if err := validateResultAt(want.Config.Seed, pols, r, next); err != nil {
+			var corrupt corruptRecordError
+			if errors.Is(err, io.EOF) || errors.As(err, &corrupt) {
+				return results, sr.off, nil
+			}
 			return nil, 0, err
 		}
 		results = append(results, r)
-		next++
-		offset += int64(len(line))
 	}
 }

@@ -33,9 +33,37 @@ func writeStream(t *testing.T, s ShardResult, nolat bool) []byte {
 	return buf.Bytes()
 }
 
+// gzipBytes compresses b, as a user gzips a finished stream file.
+func gzipBytes(t *testing.T, b []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// runShardInMemory runs shard index of count straight through a Runner,
+// with no stream in between: the reference every streamed shard must equal.
+func runShardInMemory(t *testing.T, r *Runner, cfg GeneratorConfig, total, index, count int) ShardResult {
+	t.Helper()
+	gen, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := gen.RunCount(total)
+	lo, hi := ShardRange(runs, index, count)
+	return ShardResult{FormatVersion: ShardFormatVersion, Config: cfg, Total: runs, Lo: lo, Hi: hi,
+		Results: r.Run(gen.GenerateRange(lo, hi))}
+}
+
 // TestStreamRoundTrip: a complete stream converts losslessly back into the
-// ShardResult it encodes — through ReadStream, through the sniffing
-// ReadShard (the merge path), and through gzip on top.
+// ShardResult it encodes — through ReadShard (the merge path), and through
+// gzip on top.
 func TestStreamRoundTrip(t *testing.T) {
 	cfg := GeneratorConfig{Seed: 5}
 	want := fakeShard(cfg, 8, 2, 6)
@@ -45,37 +73,23 @@ func TestStreamRoundTrip(t *testing.T) {
 		t.Fatalf("stream does not start with %q: %q", streamPrefix, raw[:40])
 	}
 
-	got, err := ReadStream(bytes.NewReader(raw))
+	got, err := ReadShard(bytes.NewReader(raw))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("ReadShard rejected a complete stream: %v", err)
 	}
 	wantJSON, _ := json.Marshal(want)
 	gotJSON, _ := json.Marshal(got)
 	if !bytes.Equal(wantJSON, gotJSON) {
-		t.Errorf("ReadStream round-trip differs:\nwant %s\ngot  %s", wantJSON, gotJSON)
-	}
-
-	// ReadShard must sniff and accept the stream encoding.
-	got2, err := ReadShard(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("ReadShard rejected a complete stream: %v", err)
-	}
-	got2JSON, _ := json.Marshal(got2)
-	if !bytes.Equal(wantJSON, got2JSON) {
-		t.Error("ReadShard stream round-trip differs from original shard")
+		t.Errorf("ReadShard round-trip differs:\nwant %s\ngot  %s", wantJSON, gotJSON)
 	}
 
 	// And the same through gzip (an archived stream).
-	var zbuf bytes.Buffer
-	zw := gzip.NewWriter(&zbuf)
-	zw.Write(raw)
-	zw.Close()
-	got3, err := ReadShard(&zbuf)
+	gz, err := ReadShard(bytes.NewReader(gzipBytes(t, raw)))
 	if err != nil {
 		t.Fatalf("ReadShard rejected a gzipped stream: %v", err)
 	}
-	got3JSON, _ := json.Marshal(got3)
-	if !bytes.Equal(wantJSON, got3JSON) {
+	gzJSON, _ := json.Marshal(gz)
+	if !bytes.Equal(wantJSON, gzJSON) {
 		t.Error("gzipped stream round-trip differs from original shard")
 	}
 }
@@ -130,13 +144,13 @@ func TestStreamReaderFailLoud(t *testing.T) {
 
 	// Truncated final record: the crash artifact a reader must name.
 	trunc := raw[:len(raw)-3]
-	if _, err := ReadStream(bytes.NewReader(trunc)); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := ReadShard(bytes.NewReader(trunc)); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("truncated record error = %v, want io.ErrUnexpectedEOF", err)
 	}
 
 	// A cleanly cut but incomplete stream converts only via resume.
 	short := bytes.Join(lines[:3], nil) // header + 2 records
-	if _, err := ReadStream(bytes.NewReader(short)); err == nil || !strings.Contains(err.Error(), "incomplete") {
+	if _, err := ReadShard(bytes.NewReader(short)); err == nil || !strings.Contains(err.Error(), "incomplete") {
 		t.Errorf("incomplete stream error = %v, want incompleteness complaint", err)
 	}
 
@@ -148,13 +162,13 @@ func TestStreamReaderFailLoud(t *testing.T) {
 	rec.Seed++
 	bad, _ := json.Marshal(rec)
 	corrupt := append(append([]byte{}, lines[0]...), append(bad, '\n')...)
-	if _, err := ReadStream(bytes.NewReader(corrupt)); err == nil || !strings.Contains(err.Error(), "does not derive") {
+	if _, err := ReadShard(bytes.NewReader(corrupt)); err == nil || !strings.Contains(err.Error(), "does not derive") {
 		t.Errorf("foreign record error = %v, want seed complaint", err)
 	}
 
 	// More records than the header's range declares.
 	over := append(append([]byte{}, raw...), lines[len(lines)-2]...)
-	if _, err := ReadStream(bytes.NewReader(over)); err == nil || !strings.Contains(err.Error(), "beyond its range") {
+	if _, err := ReadShard(bytes.NewReader(over)); err == nil || !strings.Contains(err.Error(), "beyond its range") {
 		t.Errorf("overlong stream error = %v, want beyond-range complaint", err)
 	}
 }
@@ -166,10 +180,7 @@ func TestStreamReaderFailLoud(t *testing.T) {
 func TestResumeShardFromCrash(t *testing.T) {
 	cfg := GeneratorConfig{Seed: 11, Platforms: []string{"odroid-xu3"}, Classes: []Class{ClassSteady}}
 	const total = 6
-	want, err := RunShard(cfg, total, 0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runShardInMemory(t, &Runner{Workers: 2}, cfg, total, 0, 1)
 	wantJSON, _ := json.Marshal(want)
 
 	path := filepath.Join(t.TempDir(), "shard.ndjson")
@@ -239,7 +250,7 @@ func TestResumeShardFromCrash(t *testing.T) {
 	}
 	freshJSON, _ := json.Marshal(fresh)
 	if !bytes.Equal(wantJSON, freshJSON) {
-		t.Error("fresh streamed shard differs from RunShard")
+		t.Error("fresh streamed shard differs from the in-memory run")
 	}
 }
 
@@ -391,5 +402,50 @@ func TestStreamWriterSyncEvery(t *testing.T) {
 	appendAll(sw)
 	if !sw.Complete() {
 		t.Error("stream incomplete on a sync-less writer")
+	}
+}
+
+// TestResumeShardEveryTornPrefix: whatever prefix of a stream a crash
+// leaves on disk — at every byte offset, from an empty file through a torn
+// header and torn records to the whole stream — resume finishes it to the
+// uncut stream's exact bytes and returns the uncut shard.
+func TestResumeShardEveryTornPrefix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("resumes one 3-scenario stream at every byte offset")
+	}
+	cfg := GeneratorConfig{Seed: 11, Platforms: []string{"odroid-xu3"}, Classes: []Class{ClassSteady}}
+	const total = 3
+	r := &Runner{Workers: 1, DropLatencies: true}
+	dir := t.TempDir()
+	uncut := filepath.Join(dir, "uncut.ndjson")
+	want, err := r.ResumeShard(uncut, cfg, total, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want)
+	raw, err := os.ReadFile(uncut)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, "torn.ndjson")
+	for k := 0; k <= len(raw); k++ {
+		if err := os.WriteFile(path, raw[:k], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.ResumeShard(path, cfg, total, 0, 1)
+		if err != nil {
+			t.Fatalf("prefix of %d/%d bytes: %v", k, len(raw), err)
+		}
+		if gotJSON, _ := json.Marshal(got); !bytes.Equal(wantJSON, gotJSON) {
+			t.Fatalf("prefix of %d/%d bytes: resumed shard differs from the uncut one", k, len(raw))
+		}
+		back, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, back) {
+			t.Fatalf("prefix of %d/%d bytes: resumed file differs from the uncut stream\nwant %q\ngot  %q", k, len(raw), raw, back)
+		}
 	}
 }
