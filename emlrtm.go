@@ -269,6 +269,11 @@ func NewEngine(cfg SimConfig) (*Engine, error) { return sim.New(cfg) }
 // NewManager builds a runtime manager with per-app requirements.
 func NewManager(reqs map[string]Requirement) *Manager { return rtm.NewManager(reqs) }
 
+// EngineRegistry builds the Fig 5 knob/monitor registry over an engine's
+// current state — the surface external tooling observes and steers the
+// runtime through. It stays valid until the engine is Reset.
+func EngineRegistry(e *Engine) *Registry { return rtm.EngineRegistry(e) }
+
 // NewGovernorController builds the governor-only baseline controller.
 func NewGovernorController(g Governor) Controller { return rtm.NewGovernorController(g) }
 

@@ -50,8 +50,7 @@ func main() {
 	}
 
 	// The Fig 5 interface: what the manager actually turned.
-	if reg := mgr.Registry(); reg != nil {
-		fmt.Printf("\nknobs:    %v\n", reg.KnobNames(""))
-		fmt.Printf("monitors: %v\n", reg.MonitorNames(""))
-	}
+	reg := emlrtm.EngineRegistry(engine)
+	fmt.Printf("\nknobs:    %v\n", reg.KnobNames(""))
+	fmt.Printf("monitors: %v\n", reg.MonitorNames(""))
 }

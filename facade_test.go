@@ -119,7 +119,7 @@ func TestFacadeScenarioRun(t *testing.T) {
 	if mgr.Plans() < 4 {
 		t.Fatalf("plans = %d", mgr.Plans())
 	}
-	if reg := mgr.Registry(); reg == nil || len(reg.KnobNames("")) == 0 {
+	if reg := EngineRegistry(engine); len(reg.KnobNames("")) == 0 {
 		t.Fatal("registry not exposed through facade")
 	}
 }

@@ -29,7 +29,7 @@ type Fig5Result struct {
 func Fig5(prof perf.ModelProfile, o Options) (Fig5Result, error) {
 	s := workload.Fig5Scenario(prof)
 
-	e, mgr, _, err := workload.Run(s, hw.OdroidXU3(), 0.25, o.Logf)
+	e, _, _, err := workload.Run(s, hw.OdroidXU3(), 0.25, o.Logf)
 	if err != nil {
 		return Fig5Result{}, err
 	}
@@ -56,10 +56,9 @@ func Fig5(prof perf.ModelProfile, o Options) (Fig5Result, error) {
 		ManagedReport:  e.Report(),
 		BaselineReport: be.Report(),
 	}
-	if reg := mgr.Registry(); reg != nil {
-		res.Knobs = reg.KnobNames("")
-		res.Monitors = reg.MonitorNames("")
-	}
+	reg := rtm.EngineRegistry(e)
+	res.Knobs = reg.KnobNames("")
+	res.Monitors = reg.MonitorNames("")
 	res.Table = trace.NewTable("Fig 5 — closed-loop control through a background burst (Odroid XU3)",
 		"Controller", "Frames", "Completed", "Missed", "Dropped", "Bad (%)", "Avg latency (ms)", "Energy (mJ)")
 	add := func(name string, a sim.AppInfo, rep sim.Report) {

@@ -44,7 +44,7 @@ func TestSharedCatalogReadOnly(t *testing.T) {
 
 // steadyStateRunAllocs is the measured per-run allocation count of a
 // reused Runner on TestRunnerRunAllocs's scenario.
-const steadyStateRunAllocs = 72
+const steadyStateRunAllocs = 34
 
 // TestRunnerRunAllocs pins a reused Runner's steady-state allocations
 // per scenario run on one fixed odroid scenario. Fixed per-Run costs

@@ -12,7 +12,10 @@ package rtm
 
 import (
 	"fmt"
+	"math"
 	"sort"
+
+	"github.com/emlrtm/emlrtm/internal/sim"
 )
 
 // Layer identifies which Fig 5 layer an interface element belongs to.
@@ -92,9 +95,13 @@ func (r *Registry) RegisterKnob(name string, layer Layer, min, max, initial int,
 	if min > max || initial < min || initial > max {
 		return nil, fmt.Errorf("rtm: knob %q range [%d,%d] initial %d invalid", name, min, max, initial)
 	}
+	return r.addKnob(name, layer, min, max, initial, apply), nil
+}
+
+func (r *Registry) addKnob(name string, layer Layer, min, max, initial int, apply func(int) error) *Knob {
 	k := &Knob{Name: name, Layer: layer, Min: min, Max: max, value: initial, apply: apply}
 	r.knobs[name] = k
-	return k, nil
+	return k
 }
 
 // RegisterMonitor adds a monitor.
@@ -102,9 +109,13 @@ func (r *Registry) RegisterMonitor(name string, layer Layer, unit string, read f
 	if _, dup := r.monitors[name]; dup {
 		return nil, fmt.Errorf("rtm: duplicate monitor %q", name)
 	}
+	return r.addMonitor(name, layer, unit, read), nil
+}
+
+func (r *Registry) addMonitor(name string, layer Layer, unit string, read func() float64) *Monitor {
 	m := &Monitor{Name: name, Layer: layer, Unit: unit, read: read}
 	r.monitors[name] = m
-	return m, nil
+	return m
 }
 
 // Knob returns the named knob, or nil.
@@ -150,4 +161,49 @@ func (r *Registry) Snapshot() map[string]float64 {
 		out[n] = m.Read()
 	}
 	return out
+}
+
+// EngineRegistry builds the Fig 5 knob/monitor registry over an engine's
+// current state: per DNN app an "app.<name>.level" knob and
+// "app.<name>.latency" / "app.<name>.accuracy" monitors, per cluster a
+// "dev.<name>.opp" knob, and the "dev.temperature" / "dev.power"
+// monitors. Knobs start at the engine's current settings and actuate the
+// engine; monitors sample it on Read. It is the surface external tooling
+// observes and steers the runtime through — the manager itself actuates
+// the engine directly. The registry is valid until the engine is Reset.
+func EngineRegistry(e *sim.Engine) *Registry {
+	r := NewRegistry()
+	// The engine validated its apps and platform at construction, so the
+	// names are unique and every initial setting lies inside its range.
+	snap := e.Snapshot()
+	for _, a := range snap.Apps {
+		if a.Kind != sim.KindDNN {
+			continue
+		}
+		name := a.Name
+		r.addKnob("app."+name+".level", LayerApplication, 1, a.Profile.MaxLevel(), a.Level,
+			func(v int) error { return e.SetLevel(name, v) })
+		r.addMonitor("app."+name+".latency", LayerApplication, "s", func() float64 {
+			info, err := e.App(name)
+			if err != nil {
+				return math.NaN()
+			}
+			return info.AvgLatency
+		})
+		r.addMonitor("app."+name+".accuracy", LayerApplication, "top1", func() float64 {
+			info, err := e.App(name)
+			if err != nil {
+				return math.NaN()
+			}
+			return info.Profile.Level(info.Level).Accuracy
+		})
+	}
+	for i, cl := range e.Platform().Clusters {
+		name := cl.Name
+		r.addKnob("dev."+name+".opp", LayerDevice, 0, len(cl.OPPs)-1, snap.Clusters[i].OPPIndex,
+			func(v int) error { return e.SetOPP(name, v) })
+	}
+	r.addMonitor("dev.temperature", LayerDevice, "C", e.Temperature)
+	r.addMonitor("dev.power", LayerDevice, "mW", e.TotalPowerMW)
+	return r
 }

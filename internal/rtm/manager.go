@@ -40,7 +40,9 @@ type Assignment struct {
 // a pluggable Policy (NewManager installs the paper's heuristic; see
 // Register/Policies for alternatives): each replan builds a read-only View
 // of the system, asks the policy for one Assignment per DNN, and actuates
-// the plan through the knob layer.
+// the plan on the engine's knobs directly (SetLevel, Migrate, SetOPP).
+// The Fig 5 knob/monitor registry is a view of the engine for external
+// tooling (see EngineRegistry); the manager neither builds nor reads it.
 //
 // The thermal power budget the View carries is derived from the RC model:
 // sustained power that keeps steady-state temperature at throttle − margin.
@@ -78,7 +80,6 @@ type Manager struct {
 	NoPlanReuse bool
 
 	policy       Policy
-	registry     *Registry
 	pressure     int
 	misses       int
 	pending      bool
@@ -111,17 +112,14 @@ type Manager struct {
 
 	// Replan scratch: the manager replans every controller tick, so the
 	// planning input (engine snapshot + view), the defensive policy copy,
-	// the policy's working buffers and the actuation indexes are all
+	// the policy's working buffers and the actuation state are all
 	// rebuilt in place instead of reallocated. Handed-out state stays
 	// defensive — LastPlan and LastView copy on read.
 	snap       sim.Snapshot
 	viewReqs   map[string]Requirement
 	policyView View
 	scratch    planScratch
-	curApps    map[string]sim.AppInfo
-	renderOn   map[string]bool
-	levelKnobs map[string]*Knob
-	oppKnobs   map[string]*Knob
+	curApps    []sim.AppInfo // actuate: current state of plan[i]'s app
 }
 
 // NewManager builds a manager with the given per-app requirements (keyed
@@ -196,11 +194,6 @@ func (m *Manager) LastPlan() []Assignment { return append([]Assignment(nil), m.l
 // the view by value at plan time) cannot reach manager or engine state
 // through it.
 func (m *Manager) LastView() View { return m.lastView.Clone() }
-
-// Registry returns the knob/monitor registry built for the bound engine
-// (nil before the first plan). It is an actuation surface for external
-// tooling; policies never see it — they plan over the read-only View.
-func (m *Manager) Registry() *Registry { return m.registry }
 
 // Pressure returns the outstanding thermal pressure level.
 func (m *Manager) Pressure() int { return m.pressure }
@@ -337,14 +330,12 @@ func (m *Manager) fingerprint(e *sim.Engine) (planFingerprint, bool) {
 // realise (a failed migration, an oscillating policy) must keep
 // replanning. Counters (LastPlan, LastView, Plans, miss reset) behave
 // identically on both paths.
+//
+//detlint:hotpath
 func (m *Manager) Replan(e *sim.Engine) {
 	m.pending = false
 	m.misses = 0
 	m.plans++
-
-	if m.registry == nil {
-		m.buildRegistry(e)
-	}
 
 	fp, fpOK := m.fingerprint(e)
 	if fpOK && m.lastFPOK && fp == m.lastFP {
@@ -376,10 +367,14 @@ func (m *Manager) Replan(e *sim.Engine) {
 	// destination buffers, so the hot path stays allocation-free.
 	m.last = append(m.last[:0], plan...)
 	v.CloneInto(&m.lastView)
-	for _, asg := range plan {
-		m.logf("rtm: t=%.2fs plan %s -> %s/%d cores, level %d, opp %d (pass %d, %.1fms, %.0fmW)",
-			v.NowS, asg.App, asg.Placement.Cluster, asg.Placement.Cores, asg.Level,
-			asg.OPPIndex, asg.Pass, asg.LatencyS*1000, asg.DynPowMW)
+	// Guarded here, not only inside logf: the variadic arguments would be
+	// boxed on every replan even with no sink set.
+	if m.Logf != nil {
+		for _, asg := range plan {
+			m.Logf("rtm: t=%.2fs plan %s -> %s/%d cores, level %d, opp %d (pass %d, %.1fms, %.0fmW)",
+				v.NowS, asg.App, asg.Placement.Cluster, asg.Placement.Cores, asg.Level,
+				asg.OPPIndex, asg.Pass, asg.LatencyS*1000, asg.DynPowMW)
+		}
 	}
 	m.actuate(e, v, plan)
 	// An actuated plan closes the open fault burst: the policy has had its
@@ -436,7 +431,7 @@ func (m *Manager) applyDegradedFallback(v *View, plan []Assignment) {
 	// their current cores, DNNs occupy what the plan gives them. This is
 	// the capacity the engine will enforce at migration time, so pins that
 	// respect it actuate cleanly.
-	used := reuseInts(m.degradedUsed, len(v.Platform.Clusters))
+	used := reuse(m.degradedUsed, len(v.Platform.Clusters))
 	m.degradedUsed = used
 	for _, a := range v.Apps {
 		if a.Running && a.Kind != sim.KindDNN {
@@ -553,41 +548,36 @@ func (m *Manager) applyDegradedFallback(v *View, plan []Assignment) {
 	}
 }
 
-// reuseInts returns s with length n and zeroed contents, keeping the
-// backing array whenever it is large enough.
-func reuseInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// actuate applies the plan through the knob layer: level reductions first
-// (to release accelerator memory), then migrations, then level increases,
+// actuate applies the plan to the engine: level reductions first (to
+// release accelerator memory), then migrations, then level increases,
 // then per-cluster OPPs. The per-cluster DVFS floor is derived from the
 // plan itself (the highest OPP any assignment committed on the cluster)
 // plus the render pin, so actuation depends only on (view, plan) — not on
-// policy-internal ledgers.
+// policy-internal ledgers. The engine range-checks every knob, so a
+// rejected setting is narrated and skipped.
+//
+//detlint:hotpath
 func (m *Manager) actuate(e *sim.Engine, v View, plan []Assignment) {
 	// The view was snapshotted from this engine within the same replan, so
 	// it *is* the current state — indexing it avoids re-querying the
-	// engine. Both indexes are manager scratch, cleared per actuation.
-	if m.curApps == nil {
-		m.curApps = map[string]sim.AppInfo{}
-		m.renderOn = map[string]bool{}
+	// engine. cur[i] is plan[i]'s app as the view saw it (zero when the
+	// view has no such app), with its placement kept current as
+	// migrations land.
+	cur := reuse(m.curApps, len(plan))
+	m.curApps = cur
+	for i := range plan {
+		for j := range v.Apps {
+			if v.Apps[j].Name == plan[i].App {
+				cur[i] = v.Apps[j]
+				break
+			}
+		}
 	}
-	current := m.curApps
-	clear(current)
-	for _, a := range v.Apps {
-		current[a.Name] = a
-	}
-	for _, asg := range plan {
-		if cur := current[asg.App]; asg.Level < cur.Level {
-			m.setLevel(e, asg.App, asg.Level)
+	for i, asg := range plan {
+		if asg.Level < cur[i].Level {
+			if err := e.SetLevel(asg.App, asg.Level); err != nil {
+				m.logf("rtm: level %s=%d: %v", asg.App, asg.Level, err)
+			}
 		}
 	}
 	// Migrations run in three waves ordered so freed capacity is visible
@@ -595,16 +585,16 @@ func (m *Manager) actuate(e *sim.Engine, v View, plan []Assignment) {
 	// cores a move-in on that cluster needs), then apps vacating a
 	// memory-constrained accelerator (freeing memory), then everything
 	// else.
-	migrate := func(want int) {
-		for _, asg := range plan {
-			cur := current[asg.App]
-			if asg.Placement == cur.Placement {
+	for want := 0; want < 3; want++ {
+		for i, asg := range plan {
+			from := cur[i].Placement
+			if asg.Placement == from {
 				continue
 			}
-			fromCl := e.Platform().Cluster(cur.Placement.Cluster)
+			fromCl := e.Platform().Cluster(from.Cluster)
 			wave := 2
 			switch {
-			case asg.Placement.Cluster == cur.Placement.Cluster && asg.Placement.Cores < cur.Placement.Cores:
+			case asg.Placement.Cluster == from.Cluster && asg.Placement.Cores < from.Cores:
 				wave = 0
 			case fromCl != nil && fromCl.MemBytes > 0:
 				wave = 1
@@ -614,133 +604,43 @@ func (m *Manager) actuate(e *sim.Engine, v View, plan []Assignment) {
 			}
 			if err := e.Migrate(asg.App, asg.Placement); err != nil {
 				m.logf("rtm: migrate %s: %v", asg.App, err)
-			} else {
-				cur.Placement = asg.Placement
-				current[asg.App] = cur
+				continue
+			}
+			// Every entry for the app: a third-party plan may name it twice.
+			for j := range plan {
+				if plan[j].App == asg.App {
+					cur[j].Placement = asg.Placement
+				}
 			}
 		}
 	}
-	migrate(0)
-	migrate(1)
-	migrate(2)
-	for _, asg := range plan {
-		if cur := current[asg.App]; asg.Level > cur.Level {
-			m.setLevel(e, asg.App, asg.Level)
+	for i, asg := range plan {
+		if asg.Level > cur[i].Level {
+			if err := e.SetLevel(asg.App, asg.Level); err != nil {
+				m.logf("rtm: level %s=%d: %v", asg.App, asg.Level, err)
+			}
 		}
 	}
 	// DVFS: clusters hosting DNNs get the highest OPP their assignments
 	// committed; render clusters run flat out; everything else drops to
 	// minimum.
-	renderOn := m.renderOn
-	clear(renderOn)
-	for _, a := range v.Apps {
-		if a.Running && a.Kind == sim.KindRender {
-			renderOn[a.Placement.Cluster] = true
-		}
-	}
 	for _, cl := range e.Platform().Clusters {
 		idx := 0
-		if renderOn[cl.Name] {
-			idx = len(cl.OPPs) - 1
+		for j := range v.Apps {
+			if a := &v.Apps[j]; a.Running && a.Kind == sim.KindRender && a.Placement.Cluster == cl.Name {
+				idx = len(cl.OPPs) - 1
+				break
+			}
 		}
 		for _, asg := range plan {
 			if asg.Placement.Cluster == cl.Name && asg.OPPIndex > idx {
 				idx = asg.OPPIndex
 			}
 		}
-		m.setOPP(e, cl.Name, idx)
-	}
-}
-
-// setLevel/setOPP actuate through the registry knobs (Fig 5's interface),
-// falling back to direct engine calls before the registry exists. The
-// knob pointers are cached by app/cluster name at registry build time:
-// actuation happens every replan, and re-deriving "app.<name>.level" keys
-// would allocate a string per knob per tick.
-func (m *Manager) setLevel(e *sim.Engine, app string, level int) {
-	if k := m.levelKnobs[app]; k != nil {
-		if err := k.Set(level); err != nil {
-			m.logf("rtm: level %s=%d: %v", app, level, err)
-		}
-		return
-	}
-	if err := e.SetLevel(app, level); err != nil {
-		m.logf("rtm: level %s=%d: %v", app, level, err)
-	}
-}
-
-func (m *Manager) setOPP(e *sim.Engine, cluster string, idx int) {
-	if k := m.oppKnobs[cluster]; k != nil {
-		if err := k.Set(idx); err != nil {
-			m.logf("rtm: opp %s=%d: %v", cluster, idx, err)
-		}
-		return
-	}
-	if err := e.SetOPP(cluster, idx); err != nil {
-		m.logf("rtm: opp %s=%d: %v", cluster, idx, err)
-	}
-}
-
-// buildRegistry wires the engine's apps and clusters into a knob/monitor
-// registry — the concrete realisation of Fig 5.
-func (m *Manager) buildRegistry(e *sim.Engine) {
-	r := NewRegistry()
-	m.levelKnobs = map[string]*Knob{}
-	m.oppKnobs = map[string]*Knob{}
-	for _, a := range e.Apps() {
-		if a.Kind != sim.KindDNN {
-			continue
-		}
-		name := a.Name
-		k, err := r.RegisterKnob("app."+name+".level", LayerApplication,
-			1, a.Profile.MaxLevel(), a.Level,
-			func(v int) error { return e.SetLevel(name, v) })
-		if err != nil {
-			m.logf("rtm: registry: %v", err)
-		} else {
-			m.levelKnobs[name] = k
-		}
-		if _, err := r.RegisterMonitor("app."+name+".latency", LayerApplication, "s", func() float64 {
-			info, err := e.App(name)
-			if err != nil {
-				return math.NaN()
-			}
-			return info.AvgLatency
-		}); err != nil {
-			m.logf("rtm: registry: %v", err)
-		}
-		if _, err := r.RegisterMonitor("app."+name+".accuracy", LayerApplication, "top1", func() float64 {
-			info, err := e.App(name)
-			if err != nil {
-				return math.NaN()
-			}
-			return info.Profile.Level(info.Level).Accuracy
-		}); err != nil {
-			m.logf("rtm: registry: %v", err)
+		if err := e.SetOPP(cl.Name, idx); err != nil {
+			m.logf("rtm: opp %s=%d: %v", cl.Name, idx, err)
 		}
 	}
-	for _, cl := range e.Platform().Clusters {
-		name := cl.Name
-		info, err := e.Cluster(name)
-		if err != nil {
-			continue
-		}
-		k, err := r.RegisterKnob("dev."+name+".opp", LayerDevice,
-			0, len(cl.OPPs)-1, info.OPPIndex,
-			func(v int) error { return e.SetOPP(name, v) })
-		if err != nil {
-			m.logf("rtm: registry: %v", err)
-		} else {
-			m.oppKnobs[name] = k
-		}
-	}
-	if _, err := r.RegisterMonitor("dev.temperature", LayerDevice, "C", e.Temperature); err != nil {
-		m.logf("rtm: registry: %v", err)
-	}
-	if _, err := r.RegisterMonitor("dev.power", LayerDevice, "mW", e.TotalPowerMW); err != nil {
-		m.logf("rtm: registry: %v", err)
-	}
-	m.registry = r
 }
 
 var _ sim.Controller = (*Manager)(nil)

@@ -17,8 +17,8 @@ import (
 // *policy* question with interchangeable strategies (heuristic or
 // learned). A Policy is exactly that strategy: a pure planning function
 // over a read-only View of the system. The Manager remains the actuation
-// shell: it builds the View, asks the Policy for a plan, and drives the
-// knob layer to realise it.
+// shell: it builds the View, asks the Policy for a plan, and sets the
+// engine's knobs to realise it.
 
 // View is the read-only snapshot a policy plans over. The runtime state
 // in it — Apps, Clusters, Reqs — is value copies rebuilt per plan, so a

@@ -254,7 +254,7 @@ func TestManagerReactsToThermalAlarm(t *testing.T) {
 	}
 }
 
-func TestManagerBuildsRegistry(t *testing.T) {
+func TestEngineRegistry(t *testing.T) {
 	plat := hw.OdroidXU3()
 	mgr := NewManager(nil)
 	e, err := sim.New(sim.Config{
@@ -269,10 +269,7 @@ func TestManagerBuildsRegistry(t *testing.T) {
 	if err := e.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	reg := mgr.Registry()
-	if reg == nil {
-		t.Fatal("registry not built")
-	}
+	reg := EngineRegistry(e)
 	wantKnobs := []string{"app.d.level", "dev.a15.opp", "dev.a7.opp"}
 	got := reg.KnobNames("")
 	if strings.Join(got, ",") != strings.Join(wantKnobs, ",") {
@@ -285,6 +282,54 @@ func TestManagerBuildsRegistry(t *testing.T) {
 	}
 	if v := reg.Monitor("dev.power").Read(); v <= 0 {
 		t.Fatalf("power monitor read %v", v)
+	}
+
+	// Knobs start at the settings the manager left on the engine.
+	d, _ := e.App("d")
+	level := reg.Knob("app.d.level")
+	if level.Value() != d.Level {
+		t.Fatalf("level knob = %d, engine level = %d", level.Value(), d.Level)
+	}
+	for _, cl := range plat.Clusters {
+		info, _ := e.Cluster(cl.Name)
+		if v := reg.Knob("dev." + cl.Name + ".opp").Value(); v != info.OPPIndex {
+			t.Fatalf("%s opp knob = %d, engine opp = %d", cl.Name, v, info.OPPIndex)
+		}
+	}
+
+	// Setting a knob actuates the engine.
+	want := 1
+	if d.Level == 1 {
+		want = 2
+	}
+	if err := level.Set(want); err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := e.App("d"); d.Level != want || level.Value() != want {
+		t.Fatalf("after Set(%d): engine level %d, knob %d", want, d.Level, level.Value())
+	}
+	opp := reg.Knob("dev.a7.opp")
+	if err := opp.Set(opp.Max); err != nil {
+		t.Fatal(err)
+	}
+	if info, _ := e.Cluster("a7"); info.OPPIndex != opp.Max {
+		t.Fatalf("after Set(%d): a7 opp %d", opp.Max, info.OPPIndex)
+	}
+
+	// Out-of-range settings are rejected and leave engine and knob alone.
+	for _, bad := range []int{0, d.Profile.MaxLevel() + 1} {
+		if err := level.Set(bad); err == nil {
+			t.Fatalf("level Set(%d) accepted", bad)
+		}
+	}
+	if err := opp.Set(opp.Max + 1); err == nil {
+		t.Fatalf("opp Set(%d) accepted", opp.Max+1)
+	}
+	if d, _ := e.App("d"); d.Level != want || level.Value() != want {
+		t.Fatalf("rejected Set moved the level: engine %d, knob %d", d.Level, level.Value())
+	}
+	if info, _ := e.Cluster("a7"); info.OPPIndex != opp.Max || opp.Value() != opp.Max {
+		t.Fatalf("rejected Set moved the opp: engine %d, knob %d", info.OPPIndex, opp.Value())
 	}
 }
 
@@ -361,5 +406,44 @@ func (c ctrlFuncs) OnTick(e *sim.Engine) {
 func (c ctrlFuncs) OnEvent(e *sim.Engine, ev sim.Event) {
 	if c.event != nil {
 		c.event(e, ev)
+	}
+}
+
+// twiceNamedPolicy plans app "d" twice: first onto a7, then back onto
+// its starting placement on a15.
+type twiceNamedPolicy struct{}
+
+func (twiceNamedPolicy) Name() string { return "twice-named" }
+func (twiceNamedPolicy) Plan(v View) []Assignment {
+	return []Assignment{
+		{App: "d", Placement: sim.Placement{Cluster: "a7", Cores: 2}, Level: 4},
+		{App: "d", Placement: sim.Placement{Cluster: "a15", Cores: 4}, Level: 4},
+	}
+}
+
+// A plan that names an app twice actuates both entries in plan order, so
+// the later placement wins: each entry compares against where the app
+// actually is after the earlier entry's migration landed.
+func TestActuateTwiceNamedAppLaterEntryWins(t *testing.T) {
+	mgr := NewManager(nil)
+	mgr.SetPolicy(twiceNamedPolicy{})
+	e, err := sim.New(sim.Config{
+		Platform:   hw.OdroidXU3(),
+		Apps:       []sim.App{dnn("d", "a15", 4, 0.5)},
+		Controller: mgr,
+		TickS:      0.25,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := e.App("d")
+	if want := (sim.Placement{Cluster: "a15", Cores: 4}); d.Placement != want {
+		t.Fatalf("d ended on %+v, want %+v", d.Placement, want)
+	}
+	if rep := e.Report(); rep.Migrations == 0 {
+		t.Fatal("the first entry's migration never ran")
 	}
 }
